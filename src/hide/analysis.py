@@ -16,9 +16,10 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy.special import erf
 
 from . import ppm
+from .core.tensor import Tensor
+from .entropy import likelihood
 from .errors import FormatError, HideError
 from .model import CompressionModel
 
@@ -174,10 +175,8 @@ def entropy_map(model: CompressionModel, img: np.ndarray) -> EntropyMap:
     for rec in fwd["bundle"].slices:
         centered = rec.y_hat - rec.mu
         z = centered / rec.sigma
-        p = 0.5 * (erf((centered + 0.5) / (rec.sigma * np.sqrt(2)))
-                   - erf((centered - 0.5) / (rec.sigma * np.sqrt(2))))
-        p = np.maximum(p, 1e-9)
-        bits = -np.log2(p)
+        p = likelihood(*(Tensor(a, dtype=a.dtype) for a in (rec.y_hat, rec.mu, rec.sigma)))
+        bits = -np.log2(p.numpy().astype(np.float64))
         total += float(bits.sum())
         spatial = bits.sum(axis=(0, 1))
         bits_map = spatial if bits_map is None else bits_map + spatial

@@ -28,12 +28,10 @@ from .errors import ShapeError
 class PriorDictionary(nn.Module):
     """Learnable entry matrix [N, C_d]; entries drawn from N(0, 1/sqrt(C_d))."""
 
-    def __init__(self, n_entries: int, dim: int, rng: np.random.Generator, kind: str):
+    def __init__(self, n_entries: int, dim: int, rng: np.random.Generator):
         super().__init__()
         if n_entries < 1:
             raise ShapeError("dictionary needs at least one entry")
-        self.kind = kind
-        self.n_entries = n_entries
         self.dim = dim
         scale = dim ** -0.5
         self.entries = nn.Parameter(
@@ -44,8 +42,6 @@ class PriorDictionary(nn.Module):
 class RetrievedContext:
     """Outputs of one slice-level retrieval pass."""
     fused: Tensor                       # same shape as the input context map
-    global_tokens: Tensor               # [B*H*W, C_d]
-    detail_tokens: Optional[Tensor]     # [B*H*W, C_d] or None for single-stage
     attn_global: Optional[np.ndarray]   # [heads, B*H*W, N_G] when retained
     attn_detail: Optional[np.ndarray]
 
@@ -99,10 +95,9 @@ class SliceRetrievalWeights(nn.Module):
     """Per-slice projections and temperatures for the two-stage retrieval."""
 
     def __init__(self, ctx_channels: int, dict_dim: int, heads: int,
-                 rng: np.random.Generator, tie_temperatures: bool = False):
+                 rng: np.random.Generator):
         super().__init__()
         self.heads = heads
-        self.tie_temperatures = tie_temperatures
         dt = T.get_default_dtype()
         self.global_query = nn.Linear(ctx_channels, dict_dim, rng, bias=False)
         self.global_key = nn.Linear(dict_dim, dict_dim, rng, bias=False)
@@ -115,12 +110,7 @@ class SliceRetrievalWeights(nn.Module):
         # init recovers scaled dot-product attention: temp = sqrt(C_d / heads)
         init_log_temp = 0.5 * np.log(dict_dim / heads)
         self.log_temp_global = nn.Parameter(np.array(init_log_temp, dtype=dt))
-        if not tie_temperatures:
-            self.log_temp_detail = nn.Parameter(np.array(init_log_temp, dtype=dt))
-
-    @property
-    def detail_temperature(self) -> nn.Parameter:
-        return self.log_temp_global if self.tie_temperatures else self.log_temp_detail
+        self.log_temp_detail = nn.Parameter(np.array(init_log_temp, dtype=dt))
 
 
 def global_retrieve(x: Tensor, dictionary: PriorDictionary,
@@ -144,7 +134,7 @@ def detail_retrieve(enhanced: Tensor, dictionary: PriorDictionary,
     """Second stage: query the texture dictionary with the enhanced tokens."""
     queries = weights.detail_query(enhanced)
     return dictionary_attend(queries, dictionary, weights.detail_key.weight,
-                             weights.detail_temperature, weights.heads)
+                             weights.log_temp_detail, weights.heads)
 
 
 def fuse(x: Tensor, global_ctx: Tensor, detail_ctx: Tensor,
@@ -168,8 +158,6 @@ def hierarchical_forward(x: Tensor, dict_global: PriorDictionary,
     fused = fuse(x, global_ctx, detail_ctx, weights)
     return RetrievedContext(
         fused=fused,
-        global_tokens=global_ctx,
-        detail_tokens=detail_ctx,
         attn_global=attn_g.numpy().copy() if keep_attention else None,
         attn_detail=attn_d.numpy().copy() if keep_attention else None,
     )
@@ -179,13 +167,12 @@ class HierarchicalDictContext(nn.Module):
     """Shared global/detail dictionaries plus per-slice retrieval weights."""
 
     def __init__(self, num_slices: int, ctx_channels: int, dict_dim: int,
-                 n_global: int, n_detail: int, heads: int, rng: np.random.Generator,
-                 tie_temperatures: bool = False):
+                 n_global: int, n_detail: int, heads: int, rng: np.random.Generator):
         super().__init__()
-        self.dict_global = PriorDictionary(n_global, dict_dim, rng, kind="global")
-        self.dict_detail = PriorDictionary(n_detail, dict_dim, rng, kind="detail")
+        self.dict_global = PriorDictionary(n_global, dict_dim, rng)
+        self.dict_detail = PriorDictionary(n_detail, dict_dim, rng)
         self.slices = nn.ModuleList(
-            SliceRetrievalWeights(ctx_channels, dict_dim, heads, rng, tie_temperatures)
+            SliceRetrievalWeights(ctx_channels, dict_dim, heads, rng)
             for _ in range(num_slices))
 
     def dictionaries(self):
@@ -215,7 +202,7 @@ class SingleDictContext(nn.Module):
     def __init__(self, num_slices: int, ctx_channels: int, dict_dim: int,
                  n_entries: int, heads: int, rng: np.random.Generator):
         super().__init__()
-        self.dictionary = PriorDictionary(n_entries, dict_dim, rng, kind="single")
+        self.dictionary = PriorDictionary(n_entries, dict_dim, rng)
         self.slices = nn.ModuleList(
             SingleStageWeights(ctx_channels, dict_dim, heads, rng)
             for _ in range(num_slices))
@@ -231,6 +218,6 @@ class SingleDictContext(nn.Module):
         branch = w.fuse_out(ops.gelu(w.fuse_in(ctx)))
         fused = from_tokens(T.add(branch, tokens), x.shape)
         return RetrievedContext(
-            fused=fused, global_tokens=ctx, detail_tokens=None,
+            fused=fused,
             attn_global=attn.numpy().copy() if keep_attention else None,
             attn_detail=None)

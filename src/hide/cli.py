@@ -2,14 +2,12 @@
 
 Subcommands: train, encode, decode, analyze, bdrate, sweep.
 Exit codes: 0 success, 1 runtime error, 2 usage error.
-Set HIDE_DETERMINISTIC=1 to insist on the reference single-threaded
-mode (the only mode this implementation ships; the flag is honored and
-recorded so scripts remain portable to parallel builds).
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import List, Optional
@@ -104,7 +102,7 @@ def _cmd_train(args) -> int:
     if args.steps is not None:
         overrides["steps"] = args.steps
     if overrides:
-        config = config.with_overrides(**overrides)
+        config = dataclasses.replace(config, **overrides)
     log_path = args.log or (args.out + ".log")
     train_model(config, out_path=args.out, log_path=log_path,
                 init_from=args.init_from, progress=True)
@@ -165,8 +163,8 @@ def sweep(config: ModelConfig, variants: List[str], lambdas: List[float],
     for variant in variants:
         records = []
         for lam_idx, lam in enumerate(lambdas):
-            run_cfg = config.with_overrides(
-                variant=variant, lam=lam, seed=config.seed + lam_idx)
+            run_cfg = dataclasses.replace(
+                config, variant=variant, lam=lam, seed=config.seed + lam_idx)
             if progress:
                 print(f"[sweep] variant={variant} lambda={lam} "
                       f"steps={run_cfg.steps}", flush=True)
@@ -186,9 +184,9 @@ def sweep(config: ModelConfig, variants: List[str], lambdas: List[float],
 def _cmd_sweep(args) -> int:
     config = _load_base_config(args.config)
     if args.seed is not None:
-        config = config.with_overrides(seed=args.seed)
+        config = dataclasses.replace(config, seed=args.seed)
     if args.steps is not None:
-        config = config.with_overrides(steps=args.steps)
+        config = dataclasses.replace(config, steps=args.steps)
     variants = [normalize_variant(v) for v in args.variants.split(",") if v]
     lambdas = ([float(v) for v in args.lambdas.split(",")]
                if args.lambdas else list(LAMBDA_SET))
@@ -215,8 +213,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    if os.environ.get("HIDE_DETERMINISTIC") == "1":
-        pass  # reference single-threaded mode is the only implemented mode
     try:
         return _COMMANDS[args.command](args)
     except HideError as e:

@@ -7,14 +7,13 @@ The container layout (documented byte-exactly in docs/bitstream.md):
     width    u32   original image width
     height   u32   original image height
     cfg_hash 8 bytes  (sha256 prefix of the canonical config text)
-    lam_idx  u8    index into the canonical lambda set, 255 = custom
-    lam      f64   lambda value
     z-stream  u32 length + bytes
     per-slice y-streams, s times: u32 length + bytes
 
 The decoder recomputes every entropy parameter from the checkpoint and
 previously decoded content; nothing about the models travels in the
-file beyond the config hash used to refuse mismatched checkpoints.
+file beyond the config hash used to refuse mismatched checkpoints.  The
+hash covers every config key, lambda included.
 """
 
 from __future__ import annotations
@@ -27,13 +26,12 @@ import numpy as np
 
 from . import coder
 from .backbone import SPATIAL_FACTOR
-from .constants import LAMBDA_SET
 from .errors import DecodeError, FormatError, ShapeError
 from .model import CompressionModel
 
 MAGIC = b"HIDB"
-VERSION = 1
-_HEADER = struct.Struct("<4sHII8sBd")
+VERSION = 2
+_HEADER = struct.Struct("<4sHII8s")
 
 
 @dataclass
@@ -108,10 +106,7 @@ def encode_image(model: CompressionModel, img: np.ndarray,
         streams.append(coder.encode_symbols(rec.symbols.reshape(-1), rows))
         num_symbols += rec.symbols.size
 
-    lam = model.config.lam
-    lam_idx = LAMBDA_SET.index(lam) if lam in LAMBDA_SET else 255
-    header = _HEADER.pack(MAGIC, VERSION, width, height,
-                          model.config.config_hash(), lam_idx, lam)
+    header = _HEADER.pack(MAGIC, VERSION, width, height, model.config.config_hash())
     body = b"".join(struct.pack("<I", len(s)) + s for s in streams)
     data = header + body
 
@@ -132,7 +127,7 @@ def encode_image(model: CompressionModel, img: np.ndarray,
 def decode_image(model: CompressionModel, data: bytes) -> DecodeResult:
     if len(data) < _HEADER.size:
         raise DecodeError(f"file of {len(data)} bytes is shorter than the header")
-    magic, version, width, height, cfg_hash, _, _ = _HEADER.unpack_from(data, 0)
+    magic, version, width, height, cfg_hash = _HEADER.unpack_from(data, 0)
     if magic != MAGIC:
         raise FormatError(f"bad payload magic {magic!r}")
     if version != VERSION:

@@ -29,6 +29,8 @@ from .errors import CoderError, DecodeError
 _TOP = 1 << 24
 _MASK32 = (1 << 32) - 1
 _SQRT2 = math.sqrt(2.0)
+# float32 scale heads round SIGMA_MIN down to 0.0399999991; admit that floor
+_SIGMA_FLOOR = float(np.float32(SIGMA_MIN))
 
 
 def _std_cdf(x: np.ndarray) -> np.ndarray:
@@ -51,7 +53,7 @@ def build_cdf_batch(mu_frac: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         raise CoderError("mu_frac and sigma must be equal-length 1-d arrays")
     if np.any((mu_frac < 0.0) | (mu_frac >= 1.0)):
         raise CoderError("mu_frac must lie in [0, 1)")
-    if np.any((sigma < SIGMA_MIN - 1e-12) | (sigma > SIGMA_MAX + 1e-12)):
+    if np.any((sigma < _SIGMA_FLOOR) | (sigma > SIGMA_MAX + 1e-12)):
         raise CoderError(f"sigma outside [{SIGMA_MIN}, {SIGMA_MAX}]")
 
     n = mu_frac.shape[0]

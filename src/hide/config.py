@@ -15,7 +15,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
-from .constants import SIGMA_MAX, SIGMA_MIN
 from .errors import ConfigError
 
 VARIANTS = ("baseline", "hd", "cape", "hide")
@@ -50,10 +49,7 @@ class ModelConfig:
     N_D: int = 64               # detail dictionary entries
     heads: int = 4
     C_ctx: int = 64             # slice context channels
-    sigma_min: float = SIGMA_MIN
-    sigma_max: float = SIGMA_MAX
     lam: float = 0.0035
-    tie_temperatures: bool = False
     dtype: str = "float64"
     steps: int = 500
     batch_size: int = 4
@@ -67,23 +63,14 @@ class ModelConfig:
             raise ConfigError(f"need 1 <= s <= M, got s={self.s}, M={self.M}")
         if self.C_d % self.heads != 0:
             raise ConfigError(f"C_d={self.C_d} must be divisible by heads={self.heads}")
-        if self.sigma_min != SIGMA_MIN or self.sigma_max != SIGMA_MAX:
-            raise ConfigError("sigma bounds are fixed by the coder at "
-                              f"[{SIGMA_MIN}, {SIGMA_MAX}]")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
-
-    def with_overrides(self, **kw) -> "ModelConfig":
-        return replace(self, **kw)
 
     def to_text(self) -> str:
         lines = []
         for f in sorted(fields(self), key=lambda f: _ATTR_TO_KEY.get(f.name, f.name)):
             key = _ATTR_TO_KEY.get(f.name, f.name)
-            value = getattr(self, f.name)
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            lines.append(f"{key}={value}")
+            lines.append(f"{key}={getattr(self, f.name)}")
         return "\n".join(lines) + "\n"
 
     def config_hash(self) -> bytes:
@@ -107,9 +94,7 @@ def parse_config_text(text: str, base: ModelConfig | None = None) -> ModelConfig
         if f.name not in values:
             continue
         raw = values.pop(f.name)
-        if f.type == "bool" or isinstance(getattr(base, f.name), bool):
-            kwargs[f.name] = raw.lower() in ("1", "true", "yes")
-        elif isinstance(getattr(base, f.name), int):
+        if isinstance(getattr(base, f.name), int):
             kwargs[f.name] = int(raw)
         elif isinstance(getattr(base, f.name), float):
             kwargs[f.name] = float(raw)

@@ -31,12 +31,11 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._params = dict(named_params)
-        seen = set()
-        for name in self._params:
-            if name in seen:
+        self._params = {}
+        for name, p in named_params:
+            if name in self._params:
                 raise HideError(f"parameter {name!r} appears twice in optimizer state")
-            seen.add(name)
+            self._params[name] = p
         self._state = {
             name: (np.zeros_like(p.data), np.zeros_like(p.data))
             for name, p in self._params.items()

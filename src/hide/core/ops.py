@@ -16,11 +16,9 @@ from ..errors import NonFiniteError, ShapeError
 from . import tensor as T
 from .tensor import Tensor
 
-VALIDATE_FINITE = True
-
 
 def check_finite(t: Tensor, label: str) -> None:
-    if VALIDATE_FINITE and not np.isfinite(t.data).all():
+    if not np.isfinite(t.data).all():
         raise NonFiniteError(f"non-finite values in {label}")
 
 

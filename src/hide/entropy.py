@@ -107,8 +107,8 @@ class ChannelPrior(nn.Module):
     def sigma(self) -> Tensor:
         return scale_map(self.scale_raw)
 
-    def broadcast(self, shape):
-        """(mu, sigma) tensors broadcast to a [B, C, H, W] latent shape."""
+    def broadcast(self):
+        """(mu, sigma) tensors shaped [1, C, 1, 1] to broadcast over a latent."""
         mu = self.mean.reshape(1, -1, 1, 1)
         sigma = self.sigma().reshape(1, -1, 1, 1)
         return mu, sigma
@@ -147,8 +147,7 @@ class SliceEntropyModel(nn.Module):
     def __init__(self, latent_channels: int, num_slices: int, ctx_channels: int,
                  hyper_ctx_channels: int, rng: np.random.Generator, *,
                  use_hierarchical_dict: bool, use_context_aware: bool,
-                 dict_dim: int, n_global: int, n_detail: int, heads: int,
-                 tie_temperatures: bool = False):
+                 dict_dim: int, n_global: int, n_detail: int, heads: int):
         super().__init__()
         self.split = channel_split(latent_channels, num_slices)
         self.num_slices = num_slices
@@ -175,8 +174,7 @@ class SliceEntropyModel(nn.Module):
 
         if use_hierarchical_dict:
             self.dict_ctx = HierarchicalDictContext(
-                num_slices, ctx_channels, dict_dim, n_global, n_detail, heads, rng,
-                tie_temperatures=tie_temperatures)
+                num_slices, ctx_channels, dict_dim, n_global, n_detail, heads, rng)
         else:
             self.dict_ctx = SingleDictContext(
                 num_slices, ctx_channels, dict_dim, n_global + n_detail, heads, rng)

@@ -39,7 +39,6 @@ class ContextExtractor(nn.Module):
 
     def __init__(self, c_in: int, rng: np.random.Generator):
         super().__init__()
-        self.c_in = c_in
         self.c_mid = max(c_in // 2, 1)
         self.proj = nn.Conv2d(c_in, self.c_mid, 1, rng)
         self.branch3 = nn.Conv2d(self.c_mid, self.c_mid, 3, rng, padding=1)

@@ -20,7 +20,7 @@ from .entropy import (
     rate_bits,
     rd_loss,
 )
-from .errors import ConfigError, TrainingDiverged
+from .errors import ConfigError
 
 
 class CompressionModel(nn.Module):
@@ -43,7 +43,7 @@ class CompressionModel(nn.Module):
                 use_hierarchical_dict=config.variant in ("hd", "hide"),
                 use_context_aware=config.variant in ("cape", "hide"),
                 dict_dim=config.C_d, n_global=config.N_G, n_detail=config.N_D,
-                heads=config.heads, tie_temperatures=config.tie_temperatures)
+                heads=config.heads)
         self.finalize_names()
 
     # -- helpers ---------------------------------------------------------
@@ -72,7 +72,7 @@ class CompressionModel(nn.Module):
         y = self.analysis(xt)
         z = self.hyper_analysis(y)
 
-        mu_z, sigma_z = self.hyper_prior.broadcast(z.shape)
+        mu_z, sigma_z = self.hyper_prior.broadcast()
         zero_mu = Tensor(np.zeros(z.shape, dtype=self.dtype), dtype=self.dtype)
         z_noisy, _ = quantize(z, zero_mu, "noise", rng=rng)
         z_hat = T.round_ste(z) if recon_mode == "ste" else z_noisy
@@ -124,7 +124,7 @@ class CompressionModel(nn.Module):
         return sym, z_hat
 
     def _hyper_bits(self, z_hat: np.ndarray) -> float:
-        mu_z, sigma_z = self.hyper_prior.broadcast(z_hat.shape)
+        mu_z, sigma_z = self.hyper_prior.broadcast()
         p = likelihood(Tensor(z_hat, dtype=self.dtype), mu_z, sigma_z)
         return float(rate_bits(p).numpy())
 
@@ -158,10 +158,3 @@ def load_model(path: str) -> CompressionModel:
     model = CompressionModel(config)
     model.load_state_arrays(arrays)
     return model
-
-
-def check_finite_probes(probes: dict) -> None:
-    """Raise naming the first non-finite tensor among named probes."""
-    for name, arr in probes.items():
-        if not np.isfinite(arr).all():
-            raise TrainingDiverged(f"non-finite values first appeared in {name}")

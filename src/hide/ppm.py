@@ -25,7 +25,10 @@ def _read_header(data: bytes, expected_magic: bytes):
             pos += 1
         if start == pos:
             raise FormatError("truncated header")
-        fields.append(int(data[start:pos]))
+        token = data[start:pos]
+        if not token.isdigit():
+            raise FormatError(f"non-numeric header field {token[:16]!r}")
+        fields.append(int(token))
     pos += 1  # single whitespace after maxval
     width, height, maxval = fields
     if maxval != 255:

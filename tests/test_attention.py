@@ -8,9 +8,9 @@ from hide.core import Tensor, backward, no_grad
 from conftest import check_gradients
 
 
-def make_weights(ctx_c=6, dict_dim=8, heads=2, seed=0, tie=False):
+def make_weights(ctx_c=6, dict_dim=8, heads=2, seed=0):
     rng = np.random.default_rng(seed)
-    w = A.SliceRetrievalWeights(ctx_c, dict_dim, heads, rng, tie_temperatures=tie)
+    w = A.SliceRetrievalWeights(ctx_c, dict_dim, heads, rng)
     return w, rng
 
 
@@ -34,7 +34,7 @@ def dense_attention_oracle(q, k, v, temp, heads):
 class TestGlobalRetrieve:
     def test_single_entry_dictionary(self, rng):
         w, wrng = make_weights()
-        d = A.PriorDictionary(1, 8, wrng, kind="global")
+        d = A.PriorDictionary(1, 8, wrng)
         x = Tensor(rng.standard_normal((1, 6, 2, 2)))
         with no_grad():
             ctx, attn = A.global_retrieve(x, d, w)
@@ -44,7 +44,7 @@ class TestGlobalRetrieve:
 
     def test_zero_query_gives_uniform_attention(self, rng):
         w, wrng = make_weights()
-        d = A.PriorDictionary(8, 8, wrng, kind="global")
+        d = A.PriorDictionary(8, 8, wrng)
         w.global_query.weight.data[:] = 0.0
         x = Tensor(rng.standard_normal((1, 6, 2, 2)))
         with no_grad():
@@ -55,7 +55,7 @@ class TestGlobalRetrieve:
 
     def test_against_dense_oracle(self, rng):
         w, wrng = make_weights()
-        d = A.PriorDictionary(8, 8, wrng, kind="global")
+        d = A.PriorDictionary(8, 8, wrng)
         x = Tensor(rng.standard_normal((1, 6, 2, 2)))    # 4 tokens
         with no_grad():
             ctx, _ = A.global_retrieve(x, d, w)
@@ -67,7 +67,7 @@ class TestGlobalRetrieve:
 
     def test_attention_rows_sum_to_one(self, rng):
         w, wrng = make_weights()
-        d = A.PriorDictionary(16, 8, wrng, kind="global")
+        d = A.PriorDictionary(16, 8, wrng)
         x = Tensor(rng.standard_normal((2, 6, 3, 3)) * 5)
         with no_grad():
             _, attn = A.global_retrieve(x, d, w)
@@ -120,7 +120,7 @@ class TestEnhanceQuery:
 class TestDetailRetrieve:
     def test_single_entry(self, rng):
         w, wrng = make_weights()
-        d = A.PriorDictionary(1, 8, wrng, kind="detail")
+        d = A.PriorDictionary(1, 8, wrng)
         enhanced = Tensor(rng.standard_normal((4, 8)))
         with no_grad():
             ctx, _ = A.detail_retrieve(enhanced, d, w)
@@ -128,7 +128,7 @@ class TestDetailRetrieve:
 
     def test_low_temperature_saturates_to_argmax(self, rng):
         w, wrng = make_weights(dict_dim=8, heads=1)
-        d = A.PriorDictionary(8, 8, wrng, kind="detail")
+        d = A.PriorDictionary(8, 8, wrng)
         d.entries.data = np.eye(8)                # orthonormal rows
         w.detail_key.weight.data = np.eye(8)
         w.detail_query.weight.data = np.eye(8)
@@ -141,13 +141,13 @@ class TestDetailRetrieve:
 
     def test_against_dense_oracle(self, rng):
         w, wrng = make_weights()
-        d = A.PriorDictionary(12, 8, wrng, kind="detail")
+        d = A.PriorDictionary(12, 8, wrng)
         enhanced = Tensor(rng.standard_normal((4, 8)))
         with no_grad():
             ctx, _ = A.detail_retrieve(enhanced, d, w)
         q = enhanced.numpy() @ w.detail_query.weight.numpy()
         k = d.entries.numpy() @ w.detail_key.weight.numpy()
-        temp = np.exp(w.detail_temperature.numpy())
+        temp = np.exp(w.log_temp_detail.numpy())
         expect = dense_attention_oracle(q, k, d.entries.numpy(), temp, heads=2)
         assert np.max(np.abs(ctx.numpy() - expect)) <= 1e-10
 
@@ -242,8 +242,8 @@ class TestHierarchicalForward:
         x = Tensor(rng.standard_normal((1, 6, 2, 2)))
         with no_grad():
             base = mod.forward_slice(0, x).fused.numpy().copy()
-            perm_g = rng.permutation(mod.dict_global.n_entries)
-            perm_d = rng.permutation(mod.dict_detail.n_entries)
+            perm_g = rng.permutation(mod.dict_global.entries.shape[0])
+            perm_d = rng.permutation(mod.dict_detail.entries.shape[0])
             mod.dict_global.entries.data = mod.dict_global.entries.data[perm_g]
             mod.dict_detail.entries.data = mod.dict_detail.entries.data[perm_d]
             permuted = mod.forward_slice(0, x).fused.numpy()
@@ -251,7 +251,7 @@ class TestHierarchicalForward:
 
     def test_temperature_monotonicity(self, rng):
         w, wrng = make_weights(dict_dim=8, heads=1)
-        d = A.PriorDictionary(6, 8, wrng, kind="detail")
+        d = A.PriorDictionary(6, 8, wrng)
         enhanced = Tensor(rng.standard_normal((1, 8)))
         peaks = []
         for log_t in (1.5, 0.5, -0.5, -1.5):
@@ -269,7 +269,6 @@ class TestHierarchicalForward:
         with no_grad():
             out = mod.forward_slice(0, x, keep_attention=True)
         assert out.fused.shape == x.shape
-        assert out.detail_tokens is None
         np.testing.assert_allclose(out.attn_global.sum(-1), 1.0, atol=1e-6)
         mod.slices[0].fuse_out.weight.data[:] = 0.0
         with no_grad():

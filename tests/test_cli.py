@@ -7,7 +7,9 @@ import pytest
 
 from hide import ppm
 from hide.cli import main
+from hide.config import parse_config_text
 from hide.metrics import RDRecord, psnr, write_rd_csv
+from hide.model import CompressionModel
 
 
 TINY_CONFIG = """
@@ -51,6 +53,16 @@ class TestUsageErrors:
         assert main(["decode", str(tmp_path / "missing.bin"),
                      "--checkpoint", str(tmp_path / "missing.hide"),
                      "--out", str(tmp_path / "o.ppm")]) == 1
+
+    def test_bad_ppm_header_is_an_error_line(self, tmp_path, capsys):
+        ckpt = str(tmp_path / "m.hide")
+        CompressionModel(parse_config_text(TINY_CONFIG)).save(ckpt)
+        bad = tmp_path / "bad.ppm"
+        bad.write_bytes(b"P6\nabc 4\n255\n" + b"\x00" * 48)
+        assert main(["encode", str(bad), "--checkpoint", ckpt,
+                     "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestTrainEncodeDecode:

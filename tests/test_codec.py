@@ -1,5 +1,7 @@
 """End-to-end codec: shapes, round trips, no-drift, file format."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -119,6 +121,31 @@ class TestRoundTrip:
             assert a.mu.dtype == np.float32
 
 
+class TestContainer:
+    def test_header_is_22_bytes_version_2(self, model, image):
+        enc = codec.encode_image(model, image)
+        magic, version, width, height, cfg_hash = struct.unpack_from("<4sHII8s", enc.data)
+        assert (magic, version, width, height) == (b"HIDB", 2, 64, 64)
+        assert cfg_hash == model.config.config_hash()
+        streams = 4 * (model.config.s + 1) + enc.payload_bits // 8
+        assert len(enc.data) == 22 + streams
+
+    def test_version_1_refused(self, model, image):
+        enc = codec.encode_image(model, image)
+        v1 = enc.data[:4] + struct.pack("<H", 1) + enc.data[6:]
+        with pytest.raises(FormatError, match="version 1"):
+            codec.decode_image(model, v1)
+
+    def test_lambda_travels_only_in_the_hash(self, model, image):
+        other = CompressionModel(tiny_config(lam=0.05))
+        for (na, pa), (nb, pb) in zip(model.named_parameters(), other.named_parameters()):
+            assert na == nb and np.array_equal(pa.numpy(), pb.numpy())
+        a = codec.encode_image(model, image).data
+        b = codec.encode_image(other, image).data
+        assert a[22:] == b[22:]
+        assert a[14:22] != b[14:22]
+
+
 class TestCheckpoint:
     def test_save_load_round_trip(self, tmp_path, model, image):
         path = str(tmp_path / "model.hide")
@@ -214,6 +241,13 @@ class TestPpm:
         with open(path, "wb") as fh:
             fh.write(b"P6\n4 4\n255\n" + b"\x00" * 10)
         with pytest.raises(FormatError, match="truncated"):
+            ppm.read_ppm(path)
+
+    def test_non_numeric_header_field(self, tmp_path):
+        path = str(tmp_path / "bad.ppm")
+        with open(path, "wb") as fh:
+            fh.write(b"P6\nabc 4\n255\n" + b"\x00" * 48)
+        with pytest.raises(FormatError, match="non-numeric"):
             ppm.read_ppm(path)
 
     def test_uint8_conversions(self):

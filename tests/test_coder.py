@@ -7,7 +7,9 @@ import pytest
 
 from hide import coder
 from hide.constants import ALPHABET_SIZE, PROB_TOTAL, SIGMA_MIN, SYMBOL_MAX, SYMBOL_MIN
+from hide.core import Tensor
 from hide.errors import CoderError, DecodeError
+from hide.estimator import scale_map
 
 
 def make_cdf_from_counts(counts):
@@ -47,6 +49,15 @@ class TestBuildCdf:
         cdf = coder.build_cdf(0.0, SIGMA_MIN)
         count0 = cdf[-SYMBOL_MIN + 1] - cdf[-SYMBOL_MIN]
         assert count0 >= 0.99 * PROB_TOTAL
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_every_scale_map_output_builds(self, dtype):
+        # float32 softplus underflow leaves sigma = float32(0.04) < 0.04
+        raw = np.array([-1e30, -30.0, -16.0, 0.0, 30.0, 1e30], dtype=dtype)
+        sigma = scale_map(Tensor(raw, dtype=dtype)).numpy()
+        cdfs = coder.build_cdf_batch(np.zeros(raw.size), sigma)
+        assert np.array_equal(cdfs[0], coder.build_cdf(0.0, SIGMA_MIN))
+        assert np.array_equal(cdfs[-1], coder.build_cdf(0.0, 64.0))
 
     def test_sigma_out_of_bounds(self):
         with pytest.raises(CoderError):

@@ -346,6 +346,11 @@ class TestAdam:
             theta, m, v = C.adam_step(theta, grad, m, v, t, lr=0.1)
         assert abs(theta[0]) < 0.05
 
+    def test_duplicate_parameter_name_rejected(self):
+        from hide.core.nn import Parameter
+        with pytest.raises(HideError, match="twice"):
+            C.Adam([("a", Parameter(np.zeros(1))), ("a", Parameter(np.ones(1)))], lr=1e-3)
+
     def test_optimizer_class_drives_model(self, rng):
         from hide.core.nn import Module, Parameter
 
