@@ -1,5 +1,6 @@
 """Range coder: round-trip losslessness, rate tightness, cdf construction."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -30,7 +31,28 @@ def pad_to_alphabet(counts4):
     return make_cdf_from_counts(counts)
 
 
+def digest_grid():
+    """(mu_frac, sigma) pairs built with correctly rounded arithmetic only,
+    so the grid is the same on every IEEE-754 machine."""
+    mus = [k / 64 for k in range(64)] + [k / 37 for k in range(1, 37)] + [1.0 - 2.0 ** -40]
+    sigmas = [float(np.float32(SIGMA_MIN)), SIGMA_MIN]
+    s = SIGMA_MIN
+    while s < 64.0:
+        s *= 1.05
+        sigmas.append(min(s, 64.0))
+    mu, sig = np.meshgrid(np.array(mus), np.array(sigmas), indexing="ij")
+    return mu.ravel(), sig.ravel()
+
+
 class TestBuildCdf:
+    def test_rows_digest(self):
+        # The cdf rows are part of the bitstream format: any change to them
+        # changes the bytes of every coded image.
+        rows = coder.build_cdf_batch(*digest_grid())
+        assert rows.shape == (15554, ALPHABET_SIZE + 1)
+        digest = hashlib.sha256(rows.astype("<i8").tobytes()).hexdigest()
+        assert digest == "fb82a0b3b40cc0ce95d0c8f7c6b99ce83bb3aa3db7c8c066d376c4f283eeb264"
+
     def test_unit_gaussian_center_mass(self):
         cdf = coder.build_cdf(0.0, 1.0)
         count0 = cdf[-SYMBOL_MIN + 1] - cdf[-SYMBOL_MIN]
