@@ -36,13 +36,16 @@ def save_matrix(path: str, arr: np.ndarray) -> None:
 
 def load_matrix(path: str) -> np.ndarray:
     with open(path, "rb") as fh:
-        header = fh.readline().decode("ascii").split()
+        try:
+            header = [int(f) for f in fh.readline().decode("ascii").split()]
+        except ValueError as e:   # UnicodeDecodeError is a ValueError too
+            raise FormatError(f"{path}: matrix header is not ascii integers: {e}") from None
         if not header:
             raise FormatError(f"{path}: empty matrix header")
-        rank = int(header[0])
+        rank = header[0]
         if len(header) != rank + 1:
             raise FormatError(f"{path}: header rank {rank} but {len(header) - 1} dims")
-        shape = tuple(int(d) for d in header[1:])
+        shape = tuple(header[1:])
         count = int(np.prod(shape)) if shape else 1
         payload = fh.read(4 * count)
         if len(payload) != 4 * count:

@@ -31,6 +31,12 @@ _MASK32 = (1 << 32) - 1
 _SQRT2 = math.sqrt(2.0)
 # float32 scale heads round SIGMA_MIN down to 0.0399999991; admit that floor
 _SIGMA_FLOOR = float(np.float32(SIGMA_MIN))
+# For |z| >= 9, _std_cdf(z) is exactly 0.0 or 1.0 in float64
+_Z_SATURATED = 9.0
+# Half-widths of the column windows, centered on symbol 0, that rows are
+# built on; the last one is the whole alphabet.
+_CENTER = -SYMBOL_MIN                            # the column of symbol 0
+_HALF_WIDTHS = tuple(range(4, ALPHABET_SIZE // 2 + 1, 4))
 
 
 def _std_cdf(x: np.ndarray) -> np.ndarray:
@@ -46,6 +52,11 @@ def build_cdf_batch(mu_frac: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     and upper tails.  Real probabilities are converted to 16-bit counts
     by largest-remainder rounding with a minimum count of 1 per symbol,
     so every row sums to exactly PROB_TOTAL.
+
+    Only the columns within 9 sigma of the mean can hold mass: each row is
+    built on the narrowest centered window of _HALF_WIDTHS that holds them,
+    and the columns outside get count 1.  A row whose window turns out
+    not to give the full-width counts is built again at full width.
     """
     mu_frac = np.atleast_1d(np.asarray(mu_frac, dtype=np.float64))
     sigma = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
@@ -56,21 +67,57 @@ def build_cdf_batch(mu_frac: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     if np.any((sigma < _SIGMA_FLOOR) | (sigma > SIGMA_MAX + 1e-12)):
         raise CoderError(f"sigma outside [{SIGMA_MIN}, {SIGMA_MAX}]")
 
-    n = mu_frac.shape[0]
-    edges = np.arange(SYMBOL_MIN, SYMBOL_MAX + 1, dtype=np.float64) + 0.5  # 128 upper edges
-    z = (edges[None, :] - mu_frac[:, None]) / sigma[:, None]
-    upper = _std_cdf(z)
-    upper[:, -1] = 1.0                           # fold the high tail into bin SYMBOL_MAX
-    lower = np.concatenate([np.zeros((n, 1)), upper[:, :-1]], axis=1)  # low tail folded
-    pmf = upper - lower
+    # Columns of the window's left tail carry count 1, those of its right
+    # tail too, so cdf[j] = j left of the window and PROB_TOTAL -
+    # ALPHABET_SIZE + j right of it.
+    cols = np.arange(ALPHABET_SIZE + 1)
+    cdf = np.empty((mu_frac.shape[0], ALPHABET_SIZE + 1), dtype=np.int64)
+    cdf[:] = np.where(cols <= _CENTER, cols, cols + PROB_TOTAL - ALPHABET_SIZE)
+    bucket = np.searchsorted(_HALF_WIDTHS, np.ceil(_Z_SATURATED * sigma + 1.0))
+    retry = np.zeros(0, dtype=np.int64)
+    for b, h in enumerate(_HALF_WIDTHS):
+        lo, hi = _CENTER - h, _CENTER + h
+        if hi < ALPHABET_SIZE:
+            idx = np.flatnonzero(bucket == b)
+        else:   # full width, which also takes the rows narrower windows could not
+            idx = np.concatenate([np.flatnonzero(bucket >= b), retry])
+        if idx.size == 0:
+            continue
+        counts, exact = _window_counts(mu_frac[idx], sigma[idx], lo, hi)
+        if np.any(counts[exact] <= 0):
+            raise CoderError("cdf construction produced a non-positive count")
+        retry = np.concatenate([retry, idx[~exact]])
+        idx = idx[exact]
+        cdf[idx, lo + 1:hi + 1] = lo + np.cumsum(counts[exact], axis=1)
+    return cdf
 
-    counts = _largest_remainder(pmf * PROB_TOTAL, PROB_TOTAL)
+
+def _window_counts(mu_frac: np.ndarray, sigma: np.ndarray, lo: int, hi: int):
+    """Counts of columns [lo, hi) of each row, and a mask of the rows for
+    which they are exactly the full-width counts.
+
+    The window is exact when its outer edges sit where the Gaussian cdf
+    is exactly 0.0 and 1.0, so every column outside has pmf 0 and count
+    1, and when no largest-remainder deficit reaches a bin with zero
+    fraction, whose order would depend on the columns outside.  At full
+    width every row is exact.
+    """
+    n, width = mu_frac.shape[0], hi - lo
+    # the lower edge of column lo, then the upper edge of every column
+    edges = np.arange(lo - 1, hi, dtype=np.float64) + (SYMBOL_MIN + 0.5)
+    upper = _std_cdf((edges[None, :] - mu_frac[:, None]) / sigma[:, None])
+    saturated = (upper[:, 0] == 0.0) & (upper[:, -1] == 1.0)
+    upper[:, 0] = 0.0                            # fold the low tail into column lo
+    upper[:, -1] = 1.0                           # fold the high tail into column hi - 1
+    pmf = np.diff(upper, axis=1)
+
+    counts, exact1 = _largest_remainder(pmf * PROB_TOTAL, PROB_TOTAL)
 
     # Enforce a minimum count of 1.  The subsidy for empty bins is paid by
     # the other bins proportionally to their headroom, keeping the dominant
     # bin accurate; it only pays when nothing else can (very small sigma).
     zeros = counts == 0
-    subsidy = zeros.sum(axis=1)
+    subsidy = zeros.sum(axis=1) + (ALPHABET_SIZE - width)
     counts[zeros] = 1
     rows = np.arange(n)
     top = np.argmax(counts, axis=1)
@@ -79,28 +126,32 @@ def build_cdf_batch(mu_frac: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     total_cap = caps.sum(axis=1)
     payable = np.minimum(subsidy, total_cap)
     safe_total = np.where(total_cap > 0, total_cap, 1)
-    pay = _largest_remainder(payable[:, None] * caps / safe_total[:, None], payable)
+    pay, exact2 = _largest_remainder(payable[:, None] * caps / safe_total[:, None], payable)
     counts -= pay
     counts[rows, top] -= subsidy - payable
-
-    if np.any(counts <= 0):
-        raise CoderError("cdf construction produced a non-positive count")
-    cdf = np.zeros((n, ALPHABET_SIZE + 1), dtype=np.int64)
-    np.cumsum(counts, axis=1, out=cdf[:, 1:])
-    return cdf
+    return counts, (width == ALPHABET_SIZE) | (saturated & exact1 & exact2)
 
 
-def _largest_remainder(scaled: np.ndarray, target) -> np.ndarray:
-    """Round rows of nonnegative reals to integers summing to target."""
+def _largest_remainder(scaled: np.ndarray, target):
+    """Round rows of nonnegative reals to integers summing to target.
+
+    The deficit goes one count each to the bins with the largest
+    fractions, ties to the lower column.  Also returns which rows gave
+    counts only to bins with a positive fraction.
+    """
+    n, width = scaled.shape
     counts = np.floor(scaled).astype(np.int64)
     frac = scaled - counts
     deficit = np.asarray(target) - counts.sum(axis=1)
-    cols = np.broadcast_to(np.arange(scaled.shape[1]), scaled.shape)
-    order = np.lexsort((cols, -frac), axis=1)
-    take = np.arange(scaled.shape[1])[None, :] < deficit[:, None]
-    bump = np.zeros_like(counts)
-    np.put_along_axis(bump, order, take.astype(np.int64), axis=1)
-    return counts + bump
+    # the deficit-th largest fraction: bump every bin above it, then the
+    # leftmost bins equal to it
+    ranked = np.sort(frac, axis=1)
+    threshold = ranked[np.arange(n), width - np.clip(deficit, 1, width)]
+    above = frac > threshold[:, None]
+    ties = frac == threshold[:, None]
+    left = deficit - above.sum(axis=1)
+    bump = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int16) <= left[:, None]))
+    return counts + bump, deficit <= (frac > 0).sum(axis=1)
 
 
 def build_cdf(mu_frac: float, sigma: float) -> np.ndarray:
@@ -196,11 +247,11 @@ def encode_symbols(symbols: Sequence[int], cdfs: np.ndarray) -> bytes:
         raise CoderError(f"{symbols.size} symbols but {cdfs.shape[0]} cdfs")
     if symbols.size and (symbols.min() < SYMBOL_MIN or symbols.max() > SYMBOL_MAX):
         raise CoderError("symbol outside the coder alphabet; clamp before encoding")
+    rows = np.arange(symbols.size)
+    idx = symbols - SYMBOL_MIN
     enc = _Encoder()
-    for i in range(symbols.size):
-        row = cdfs[i]
-        idx = int(symbols[i]) - SYMBOL_MIN
-        enc.encode(int(row[idx]), int(row[idx + 1]))
+    for cum_lo, cum_hi in zip(cdfs[rows, idx].tolist(), cdfs[rows, idx + 1].tolist()):
+        enc.encode(cum_lo, cum_hi)
     return enc.flush()
 
 

@@ -87,19 +87,21 @@ def parse_config_text(text: str, base: ModelConfig | None = None) -> ModelConfig
             raise ConfigError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         attr = _KEY_TO_ATTR.get(key, key)
-        values[attr] = value
+        values[attr] = (value, lineno)
     base = base or ModelConfig()
     kwargs = {}
     for f in fields(ModelConfig):
         if f.name not in values:
             continue
-        raw = values.pop(f.name)
-        if isinstance(getattr(base, f.name), int):
-            kwargs[f.name] = int(raw)
-        elif isinstance(getattr(base, f.name), float):
-            kwargs[f.name] = float(raw)
-        else:
-            kwargs[f.name] = raw
+        raw, lineno = values.pop(f.name)
+        current = getattr(base, f.name)
+        kind = int if isinstance(current, int) else float if isinstance(current, float) else str
+        try:
+            kwargs[f.name] = kind(raw)
+        except ValueError:
+            key = _ATTR_TO_KEY.get(f.name, f.name)
+            raise ConfigError(f"config line {lineno}: {key} must be {kind.__name__}, "
+                              f"got {raw!r}") from None
     if values:
         raise ConfigError(f"unknown config keys: {sorted(values)}")
     return replace(base, **kwargs)

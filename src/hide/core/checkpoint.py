@@ -47,12 +47,12 @@ def _pack_record(name: str, arr: np.ndarray) -> bytes:
 def save_checkpoint(path: str, arrays: Dict[str, np.ndarray], config_text: str) -> None:
     records = dict(arrays)
     records[CONFIG_RECORD] = np.frombuffer(config_text.encode("utf-8"), dtype=np.uint8)
-    blob = MAGIC + struct.pack("<H", VERSION)
-    for name in sorted(records):
-        # note: ascontiguousarray would promote rank-0 arrays to rank 1
-        blob += _pack_record(name, np.asarray(records[name], order="C"))
+    # note: ascontiguousarray would promote rank-0 arrays to rank 1
+    parts = [_pack_record(name, np.asarray(records[name], order="C"))
+             for name in sorted(records)]
     with open(path, "wb") as fh:
-        fh.write(blob)
+        fh.write(MAGIC + struct.pack("<H", VERSION))
+        fh.writelines(parts)
 
 
 def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], str]:

@@ -118,6 +118,13 @@ class TestMatrixDump:
         with pytest.raises(FormatError):
             an.load_matrix(path)
 
+    @pytest.mark.parametrize("header", [b"x 2\n", b"2 4 four\n", b"\xff 2\n"])
+    def test_non_integer_header(self, tmp_path, header):
+        path = tmp_path / "c.mat"
+        path.write_bytes(header + b"\x00" * 64)
+        with pytest.raises(FormatError):
+            an.load_matrix(str(path))
+
     def test_scale_to_uint8(self):
         flat = an.scale_to_uint8(np.full((3, 3), 7.0))
         assert flat.dtype == np.uint8 and (flat == 0).all()

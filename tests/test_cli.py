@@ -65,6 +65,14 @@ class TestUsageErrors:
         assert err.startswith("error:") and "Traceback" not in err
 
 
+    def test_bad_config_value_is_an_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text("M=abc\n")
+        assert main(["train", "--config", str(bad), "--out", str(tmp_path / "x.hide")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+
 class TestTrainEncodeDecode:
     def test_full_round_trip(self, workspace, capsys):
         root, cfg, img_path = workspace

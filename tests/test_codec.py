@@ -167,6 +167,20 @@ class TestCheckpoint:
         assert sorted(arrays) == list(arrays)
         assert "variant=hide" in config_text
 
+    def test_bytes_match_record_by_record_writer(self, tmp_path, model):
+        from hide.core import checkpoint
+        arrays = dict(model.state_arrays(), scalar=np.float64(2.5),
+                      raw=np.arange(5, dtype=np.uint8))
+        path = str(tmp_path / "model.hide")
+        checkpoint.save_checkpoint(path, arrays, model.config.to_text())
+        records = dict(arrays, __config__=np.frombuffer(
+            model.config.to_text().encode("utf-8"), dtype=np.uint8))
+        blob = checkpoint.MAGIC + struct.pack("<H", checkpoint.VERSION)
+        for name in sorted(records):
+            blob += checkpoint._pack_record(name, np.asarray(records[name], order="C"))
+        with open(path, "rb") as fh:
+            assert fh.read() == blob
+
     def test_variant_isolation_by_parameter_names(self):
         names = {}
         for variant in ("baseline", "hd", "cape", "hide"):
@@ -199,6 +213,12 @@ class TestConfig:
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config_text("bogus=1\n")
+
+    def test_non_numeric_value_rejected(self):
+        with pytest.raises(ConfigError, match="line 2: lambda must be float"):
+            parse_config_text("M=8\nlambda=abc\n")
+        with pytest.raises(ConfigError, match="line 1: M must be int"):
+            parse_config_text("M=1e3\n")
 
     def test_variant_aliases(self):
         assert ModelConfig(variant="+HD", M=8, s=2).variant == "hd"

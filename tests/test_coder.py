@@ -5,9 +5,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hide import coder
-from hide.constants import ALPHABET_SIZE, PROB_TOTAL, SIGMA_MIN, SYMBOL_MAX, SYMBOL_MIN
+from hide.constants import (
+    ALPHABET_SIZE,
+    PROB_TOTAL,
+    SIGMA_MAX,
+    SIGMA_MIN,
+    SYMBOL_MAX,
+    SYMBOL_MIN,
+)
 from hide.core import Tensor
 from hide.errors import CoderError, DecodeError
 from hide.estimator import scale_map
@@ -44,7 +53,78 @@ def digest_grid():
     return mu.ravel(), sig.ravel()
 
 
+def oracle_build_cdf_batch(mu_frac, sigma):
+    """The full-width builder that windowed construction must reproduce bit
+    for bit: every row computes all ALPHABET_SIZE columns."""
+    n = mu_frac.shape[0]
+    edges = np.arange(SYMBOL_MIN, SYMBOL_MAX + 1, dtype=np.float64) + 0.5
+    upper = coder._std_cdf((edges[None, :] - mu_frac[:, None]) / sigma[:, None])
+    upper[:, -1] = 1.0
+    lower = np.concatenate([np.zeros((n, 1)), upper[:, :-1]], axis=1)
+    counts = oracle_largest_remainder((upper - lower) * PROB_TOTAL, PROB_TOTAL)
+    zeros = counts == 0
+    subsidy = zeros.sum(axis=1)
+    counts[zeros] = 1
+    rows = np.arange(n)
+    top = np.argmax(counts, axis=1)
+    caps = counts - 1
+    caps[rows, top] = 0
+    total_cap = caps.sum(axis=1)
+    payable = np.minimum(subsidy, total_cap)
+    safe_total = np.where(total_cap > 0, total_cap, 1)
+    counts -= oracle_largest_remainder(payable[:, None] * caps / safe_total[:, None], payable)
+    counts[rows, top] -= subsidy - payable
+    cdf = np.zeros((n, ALPHABET_SIZE + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=cdf[:, 1:])
+    return cdf
+
+
+def oracle_largest_remainder(scaled, target):
+    counts = np.floor(scaled).astype(np.int64)
+    frac = scaled - counts
+    deficit = np.asarray(target) - counts.sum(axis=1)
+    cols = np.broadcast_to(np.arange(scaled.shape[1]), scaled.shape)
+    order = np.lexsort((cols, -frac), axis=1)
+    take = np.arange(scaled.shape[1])[None, :] < deficit[:, None]
+    bump = np.zeros_like(counts)
+    np.put_along_axis(bump, order, take.astype(np.int64), axis=1)
+    return counts + bump
+
+
+_SIGMA_FLOOR32 = float(np.float32(SIGMA_MIN))
+# Rows whose window is chosen by sigma alone but whose mean sits so near
+# the window's right edge that the cdf there is below 1.0: the builder
+# must rebuild them at full width.
+_WINDOW_FALLBACK_ROWS = [(0.99, 1.0 / 3.0), (0.95, 0.32)]
+_mu_fracs = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
+                      st.floats(0.75, 1.0, exclude_max=True))
+_sigmas = st.one_of(
+    st.floats(_SIGMA_FLOOR32, SIGMA_MAX),
+    st.sampled_from([_SIGMA_FLOOR32, SIGMA_MIN, SIGMA_MAX]),
+    # the largest sigma of each window half-width, and just above it
+    st.integers(4, 64).map(lambda h: (h - 1.0) / 9.0),
+    st.integers(4, 64).map(lambda h: np.nextafter((h - 1.0) / 9.0, np.inf)),
+)
+
+
 class TestBuildCdf:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(_mu_fracs, _sigmas), min_size=1, max_size=40))
+    @example(_WINDOW_FALLBACK_ROWS)
+    def test_matches_full_width_oracle(self, pairs):
+        mu, sig = (np.array(v, dtype=np.float64) for v in zip(*pairs))
+        assert np.array_equal(coder.build_cdf_batch(mu, sig), oracle_build_cdf_batch(mu, sig))
+
+    def test_window_fallback_rows_exist(self):
+        mu, sig = (np.array(v) for v in zip(*_WINDOW_FALLBACK_ROWS))
+        _, exact = coder._window_counts(mu, sig, -SYMBOL_MIN - 4, -SYMBOL_MIN + 4)
+        assert not exact.any()
+        assert np.array_equal(coder.build_cdf_batch(mu, sig), oracle_build_cdf_batch(mu, sig))
+
+    def test_std_cdf_saturates_at_nine_sigma(self):
+        z = np.array([-1e3, -20.0, -9.0, 9.0, 20.0, 1e3])
+        assert coder._std_cdf(z).tolist() == [0.0, 0.0, 0.0, 1.0, 1.0, 1.0]
+
     def test_rows_digest(self):
         # The cdf rows are part of the bitstream format: any change to them
         # changes the bytes of every coded image.
@@ -157,6 +237,19 @@ class TestRoundTrip:
         data = coder.encode_symbols(syms, cdfs)
         with pytest.raises(DecodeError):
             coder.decode_symbols(data[:-1], cdfs)
+
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_bytes_match_symbol_by_symbol_encoder(self, rng, shared):
+        n = 500
+        cdfs = coder.build_cdf_batch(rng.uniform(0, 1, n), np.exp(rng.uniform(-3, 4, n)))
+        if shared:
+            cdfs = cdfs[0]
+        syms = rng.integers(-8, 9, size=n)
+        enc = coder._Encoder()
+        for i, sym in enumerate(syms):
+            row = cdfs if shared else cdfs[i]
+            enc.encode(int(row[sym - SYMBOL_MIN]), int(row[sym - SYMBOL_MIN + 1]))
+        assert coder.encode_symbols(syms, cdfs) == enc.flush()
 
     def test_symbol_out_of_alphabet(self):
         cdf = coder.build_cdf(0.0, 1.0)
