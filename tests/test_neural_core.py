@@ -125,13 +125,26 @@ class TestConv2d:
         with pytest.raises(ShapeError, match="odd"):
             C.conv2d(x, w, None)
 
-    def test_gradients(self, rng):
-        x = rng.standard_normal((2, 2, 5, 5))
-        w = rng.standard_normal((3, 2, 3, 3))
+    def test_wide_kernel_batch_against_loop_oracle(self, rng):
+        x = rng.standard_normal((3, 2, 7, 6))
+        w = rng.standard_normal((3, 2, 7, 7))
         b = rng.standard_normal(3)
-        check_gradients(
-            lambda ts: C.conv2d(ts[0], ts[1], ts[2], stride=2, padding=1).sum(),
-            [x, w, b])
+        out = C.conv2d(Tensor(x), Tensor(w), Tensor(b), stride=1, padding=3)
+        expect = conv2d_loop(x, w, b, stride=1, padding=3)
+        assert np.max(np.abs(out.numpy() - expect)) <= 1e-12
+
+    def test_gradients(self, rng):
+        # (x shape, w shape, stride, padding); the last is the estimator's 7x7 branch
+        cases = [((2, 2, 5, 5), (3, 2, 3, 3), 2, 1),
+                 ((2, 2, 4, 5), (2, 2, 7, 7), 1, 3)]
+        for x_shape, w_shape, stride, padding in cases:
+            x = rng.standard_normal(x_shape)
+            w = rng.standard_normal(w_shape)
+            b = rng.standard_normal(w_shape[0])
+            check_gradients(
+                lambda ts: (C.conv2d(ts[0], ts[1], ts[2], stride=stride,
+                                     padding=padding) ** 2).sum(),
+                [x, w, b])
 
     def test_rejects_nonfinite(self):
         x = np.ones((1, 1, 3, 3))
@@ -165,12 +178,18 @@ class TestConvTranspose2d:
         assert np.max(np.abs(out.numpy() - expect)) <= 1e-12
 
     def test_gradients(self, rng):
-        x = rng.standard_normal((1, 2, 3, 3))
-        w = rng.standard_normal((2, 3, 3, 3))
-        b = rng.standard_normal(3)
-        check_gradients(
-            lambda ts: (C.conv_transpose2d(ts[0], ts[1], ts[2], stride=2, padding=1) ** 2).sum(),
-            [x, w, b])
+        # (x shape, w shape, stride, padding)
+        cases = [((1, 2, 3, 3), (2, 3, 3, 3), 2, 1),
+                 ((2, 2, 3, 4), (2, 3, 5, 5), 2, 2),
+                 ((2, 3, 3, 3), (3, 2, 3, 3), 1, 1)]
+        for x_shape, w_shape, stride, padding in cases:
+            x = rng.standard_normal(x_shape)
+            w = rng.standard_normal(w_shape)
+            b = rng.standard_normal(w_shape[1])
+            check_gradients(
+                lambda ts: (C.conv_transpose2d(ts[0], ts[1], ts[2], stride=stride,
+                                               padding=padding) ** 2).sum(),
+                [x, w, b])
 
 
 class TestLinear:
