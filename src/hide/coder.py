@@ -11,6 +11,7 @@ procedure.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from typing import Sequence
 
 import numpy as np
@@ -217,20 +218,21 @@ class _Decoder:
         self.pos += 1
         return b
 
-    def decode(self, cdf: np.ndarray) -> int:
+    def decode(self, cdfs, lo: int, hi: int) -> int:
+        """Decode one symbol under the cdf row cdfs[lo:hi] of a flat
+        sequence of ints; returns the symbol's index into that row."""
         r = self.range >> 16
         value = self.code // r
         if value >= PROB_TOTAL:
             value = PROB_TOTAL - 1
-        idx = int(np.searchsorted(cdf, value, side="right")) - 1
-        cum_lo = int(cdf[idx])
-        cum_hi = int(cdf[idx + 1])
+        pos = bisect_right(cdfs, value, lo, hi) - 1
+        cum_lo = cdfs[pos]
         self.code -= r * cum_lo
-        self.range = r * (cum_hi - cum_lo)
+        self.range = r * (cdfs[pos + 1] - cum_lo)
         while self.range < _TOP:
             self.code = ((self.code << 8) | self._next_byte()) & _MASK32
             self.range <<= 8
-        return idx
+        return pos - lo
 
 
 def encode_symbols(symbols: Sequence[int], cdfs: np.ndarray) -> bytes:
@@ -258,16 +260,16 @@ def encode_symbols(symbols: Sequence[int], cdfs: np.ndarray) -> bytes:
 def decode_symbols(data: bytes, cdfs: np.ndarray) -> np.ndarray:
     """Exact inverse of encode_symbols; cdfs must match the encoder's order."""
     cdfs = np.asarray(cdfs, dtype=np.int64)
-    if cdfs.ndim == 1:
+    if cdfs.ndim != 2 or cdfs.shape[1] < 2:
         raise CoderError("decode_symbols needs one cdf row per symbol")
-    n = cdfs.shape[0]
+    n, width = cdfs.shape
     if len(data) < 5:
         raise DecodeError(f"stream of {len(data)} bytes is shorter than the coder flush")
     dec = _Decoder(data)
-    out = np.empty(n, dtype=np.int64)
-    for i in range(n):
-        out[i] = dec.decode(cdfs[i]) + SYMBOL_MIN
-    return out
+    # a flat memoryview hands bisect Python ints without numpy scalar boxing
+    flat = memoryview(np.ascontiguousarray(cdfs).reshape(-1))
+    out = [dec.decode(flat, lo, lo + width) for lo in range(0, n * width, width)]
+    return np.array(out, dtype=np.int64) + SYMBOL_MIN
 
 
 def quantized_bits(symbols: Sequence[int], cdfs: np.ndarray) -> float:

@@ -3,6 +3,14 @@
 Convolutions run as im2col/col2im matrix products so the heavy lifting
 stays inside BLAS while gradients remain exact.  Layer entry points
 validate shapes and reject non-finite values.
+
+Patches are laid out channel-major: _im2col turns a padded [B,C,Hp,Wp]
+map into a contiguous [C, k, k, B, H', W'] array, used as the matrix
+cols of shape [C*k*k, B*H'*W'].  Every GEMM keeps the weight on the
+left: conv2d computes W @ cols forward, W.T @ g for the input gradient
+and g @ cols.T for the kernel gradient; conv_transpose2d computes
+K.T @ x forward with K of shape [Cin, Cout*k*k].  _col2im adds the
+contiguous plane cols[:, i, j] back for each of the k*k offsets.
 """
 
 from __future__ import annotations
@@ -23,21 +31,23 @@ def check_finite(t: Tensor, label: str) -> None:
 
 
 def _im2col(x_pad: np.ndarray, k: int, stride: int) -> np.ndarray:
-    """[B,C,Hp,Wp] -> [B, H', W', C, k, k] patch matrix (contiguous copy)."""
+    """[B,C,Hp,Wp] -> [C, k, k, B, H', W'] patch array (contiguous)."""
     windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(2, 3))
     windows = windows[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(windows.transpose(0, 2, 3, 1, 4, 5))
+    return np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
 
 
 def _col2im(cols: np.ndarray, pad_shape, k: int, stride: int) -> np.ndarray:
-    """Scatter-add [B, H', W', C, k, k] patches back into a padded map."""
-    buf = np.zeros(pad_shape, dtype=cols.dtype)
-    h_out, w_out = cols.shape[1], cols.shape[2]
+    """Scatter-add [C, k, k, B, H', W'] patches back into a padded
+    [B,C,Hp,Wp] map (returned as a view of a [C,B,Hp,Wp] buffer)."""
+    b, c, hp, wp = pad_shape
+    buf = np.zeros((c, b, hp, wp), dtype=cols.dtype)
+    h_out, w_out = cols.shape[4], cols.shape[5]
     for i in range(k):
         for j in range(k):
             buf[:, :, i:i + stride * (h_out - 1) + 1:stride,
-                j:j + stride * (w_out - 1) + 1:stride] += cols[:, :, :, :, i, j].transpose(0, 3, 1, 2)
-    return buf
+                j:j + stride * (w_out - 1) + 1:stride] += cols[:, i, j]
+    return buf.transpose(1, 0, 2, 3)
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
@@ -65,13 +75,12 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
                          f"stride={stride}, padding={padding}")
 
     x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(x_pad, k, stride)                      # [B,H',W',Cin,k,k]
-    cols_mat = cols.reshape(b * h_out * w_out, c_in * k * k)
+    cols = _im2col(x_pad, k, stride).reshape(c_in * k * k, b * h_out * w_out)
     w_mat = kernel.data.reshape(c_out, c_in * k * k)
-    out_mat = cols_mat @ w_mat.T
+    out_mat = w_mat @ cols
     if bias is not None:
-        out_mat = out_mat + bias.data
-    out_data = out_mat.reshape(b, h_out, w_out, c_out).transpose(0, 3, 1, 2)
+        out_mat += bias.data[:, None]
+    out_data = out_mat.reshape(c_out, b, h_out, w_out).transpose(1, 0, 2, 3)
 
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     out = Tensor(out_data, requires_grad=T._should_record(*inputs), dtype=x.dtype)
@@ -79,13 +88,13 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
         pad_shape = x_pad.shape
 
         def backward(g):
-            g_mat = g.transpose(0, 2, 3, 1).reshape(b * h_out * w_out, c_out)
+            g_mat = g.transpose(1, 0, 2, 3).reshape(c_out, b * h_out * w_out)
             if kernel.requires_grad:
-                kernel._accumulate((g_mat.T @ cols_mat).reshape(kernel.shape))
+                kernel._accumulate((g_mat @ cols.T).reshape(kernel.shape))
             if bias is not None and bias.requires_grad:
-                bias._accumulate(g_mat.sum(axis=0))
+                bias._accumulate(g_mat.sum(axis=1))
             if x.requires_grad:
-                d_cols = (g_mat @ w_mat).reshape(b, h_out, w_out, c_in, k, k)
+                d_cols = (w_mat.T @ g_mat).reshape(c_in, k, k, b, h_out, w_out)
                 buf = _col2im(d_cols, pad_shape, k, stride)
                 if padding:
                     buf = buf[:, :, padding:padding + h, padding:padding + w]
@@ -126,9 +135,9 @@ def conv_transpose2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     buf_h = max(stride * (h - 1) + k, padding + h_out)
     buf_w = max(stride * (w - 1) + k, padding + w_out)
 
-    x_mat = x.data.transpose(0, 2, 3, 1).reshape(b * h * w, c_in)
+    x_mat = x.data.transpose(1, 0, 2, 3).reshape(c_in, b * h * w)
     k_mat = kernel.data.reshape(c_in, c_out * k * k)
-    patches = (x_mat @ k_mat).reshape(b, h, w, c_out, k, k)
+    patches = (k_mat.T @ x_mat).reshape(c_out, k, k, b, h, w)
     buf = _col2im(patches, (b, c_out, buf_h, buf_w), k, stride)
     out_data = buf[:, :, padding:padding + h_out, padding:padding + w_out]
     if bias is not None:
@@ -140,15 +149,14 @@ def conv_transpose2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
         def backward(g):
             g_buf = np.zeros((b, c_out, buf_h, buf_w), dtype=g.dtype)
             g_buf[:, :, padding:padding + h_out, padding:padding + w_out] = g
-            g_cols = _im2col(g_buf, k, stride)            # [B,H,W,Cout,k,k]
-            g_cols_mat = g_cols.reshape(b * h * w, c_out * k * k)
+            g_cols = _im2col(g_buf, k, stride).reshape(c_out * k * k, b * h * w)
             if kernel.requires_grad:
-                kernel._accumulate((x_mat.T @ g_cols_mat).reshape(kernel.shape))
+                kernel._accumulate((x_mat @ g_cols.T).reshape(kernel.shape))
             if bias is not None and bias.requires_grad:
                 bias._accumulate(g.sum(axis=(0, 2, 3)))
             if x.requires_grad:
-                d_x_mat = g_cols_mat @ k_mat.T
-                x._accumulate(d_x_mat.reshape(b, h, w, c_in).transpose(0, 3, 1, 2))
+                d_x_mat = k_mat @ g_cols
+                x._accumulate(d_x_mat.reshape(c_in, b, h, w).transpose(1, 0, 2, 3))
         T._record(out, backward)
     return out
 

@@ -40,6 +40,26 @@ def pad_to_alphabet(counts4):
     return make_cdf_from_counts(counts)
 
 
+def oracle_decode_symbols(data, cdfs):
+    """Range decoder finding each symbol with np.searchsorted on its row."""
+    pos, rng_, code = 5, (1 << 32) - 1, int.from_bytes(data[:5], "big") & ((1 << 32) - 1)
+    out = []
+    for cdf in cdfs:
+        r = rng_ >> 16
+        value = min(code // r, PROB_TOTAL - 1)
+        idx = int(np.searchsorted(cdf, value, side="right")) - 1
+        code -= r * int(cdf[idx])
+        rng_ = r * (int(cdf[idx + 1]) - int(cdf[idx]))
+        while rng_ < 1 << 24:
+            if pos >= len(data):
+                raise DecodeError("bitstream exhausted")
+            code = ((code << 8) | data[pos]) & ((1 << 32) - 1)
+            pos += 1
+            rng_ <<= 8
+        out.append(idx + SYMBOL_MIN)
+    return np.array(out, dtype=np.int64)
+
+
 def digest_grid():
     """(mu_frac, sigma) pairs built with correctly rounded arithmetic only,
     so the grid is the same on every IEEE-754 machine."""
@@ -250,6 +270,27 @@ class TestRoundTrip:
             row = cdfs if shared else cdfs[i]
             enc.encode(int(row[sym - SYMBOL_MIN]), int(row[sym - SYMBOL_MIN + 1]))
         assert coder.encode_symbols(syms, cdfs) == enc.flush()
+
+    def test_decode_matches_searchsorted_oracle(self, rng):
+        n = 3000
+        mu = rng.uniform(0, 1, n)
+        sig = np.exp(rng.uniform(np.log(SIGMA_MIN), np.log(SIGMA_MAX), n))
+        sig[0::7] = float(np.float32(SIGMA_MIN))    # the float32 sigma floor
+        sig[1::7] = SIGMA_MIN
+        sig[2::7] = SIGMA_MAX
+        cdfs = coder.build_cdf_batch(mu, sig)
+        # mostly likely symbols, with some from the count-1 tails
+        syms = np.clip(np.round(rng.standard_normal(n) * sig), SYMBOL_MIN, SYMBOL_MAX)
+        syms[::11] = rng.integers(SYMBOL_MIN, SYMBOL_MAX + 1, size=syms[::11].size)
+        data = coder.encode_symbols(syms, cdfs)
+        np.testing.assert_array_equal(coder.decode_symbols(data, cdfs), syms)
+        np.testing.assert_array_equal(oracle_decode_symbols(data, cdfs), syms)
+        # arbitrary bytes decode to the same symbols too (the stream never runs
+        # short: each symbol reads at most two bytes)
+        for _ in range(20):
+            noise = rng.integers(0, 256, size=2 * n + 5, dtype=np.uint8).tobytes()
+            np.testing.assert_array_equal(coder.decode_symbols(noise, cdfs),
+                                          oracle_decode_symbols(noise, cdfs))
 
     def test_symbol_out_of_alphabet(self):
         cdf = coder.build_cdf(0.0, 1.0)

@@ -314,6 +314,13 @@ class TestBackward:
 
         check_gradients(loss_fn, [x, w, b, lw])
 
+    def test_first_gradient_write_is_zero_plus_g(self):
+        # a first write of -0.0 stores +0.0, as 0.0 + g does
+        w = Tensor(np.ones(2), requires_grad=True)
+        backward((w * Tensor(np.array([-0.0, 2.0]))).sum())
+        assert np.array_equal(w.grad, [0.0, 2.0])
+        assert not np.signbit(w.grad).any()
+
     def test_double_backward_errors(self, rng):
         w = Tensor(rng.standard_normal(3), requires_grad=True)
         loss = (w * w).sum()
@@ -364,6 +371,33 @@ class TestAdam:
             grad = 2.0 * theta
             theta, m, v = C.adam_step(theta, grad, m, v, t, lr=0.1)
         assert abs(theta[0]) < 0.05
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_matches_adam_step_bitwise(self, rng, dtype):
+        shapes = {"a": (3, 4, 5), "b": (7,), "c": ()}
+        params = {n: Tensor(rng.standard_normal(s), requires_grad=True, dtype=dtype)
+                  for n, s in shapes.items()}
+        ref = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for n, p in params.items()}
+        opt = C.Adam(list(params.items()), lr=3e-3)
+        for t in range(1, 6):
+            if t == 4:
+                opt.lr = 3e-4
+            for n, p in params.items():
+                if n == "b" and t == 2:
+                    p.grad = None                    # skipped this step
+                    continue
+                p.grad = (rng.standard_normal(shapes[n]) * 10.0 ** rng.integers(-6, 3)
+                          ).astype(dtype)
+            opt.step()
+            for n, p in params.items():
+                if p.grad is None:
+                    continue
+                ref[n] = C.adam_step(*ref[n][:1], p.grad, *ref[n][1:], t, opt.lr)
+                assert p.data.dtype == dtype
+                assert np.array_equal(p.data, ref[n][0])
+                assert np.array_equal(opt._state[n][0], ref[n][1])
+                assert np.array_equal(opt._state[n][1], ref[n][2])
 
     def test_duplicate_parameter_name_rejected(self):
         from hide.core.nn import Parameter
