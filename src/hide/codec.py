@@ -30,8 +30,10 @@ from .errors import DecodeError, FormatError, ShapeError
 from .model import CompressionModel
 
 MAGIC = b"HIDB"
-VERSION = 2
+VERSION = 3
 _HEADER = struct.Struct("<4sHII8s")
+# Largest width * height coded; the decoder checks it before allocating.
+MAX_PIXELS = 1 << 24
 
 
 @dataclass
@@ -65,27 +67,27 @@ def pad_image(img: np.ndarray) -> np.ndarray:
     return np.pad(img, ((0, 0), (0, ph), (0, pw)), mode="edge")
 
 
+def _check_size(width: int, height: int, error) -> None:
+    if width < 1 or height < 1 or width * height > MAX_PIXELS:
+        raise error(f"image size {width}x{height} is not within 1..{MAX_PIXELS} pixels")
+
+
 def _as_unit_float(img: np.ndarray) -> np.ndarray:
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected [3,H,W] image, got {img.shape}")
-    if img.shape[1] == 0 or img.shape[2] == 0:
-        raise ShapeError("zero-sized image")
+    _check_size(img.shape[2], img.shape[1], ShapeError)
     if img.dtype == np.uint8:
         return img.astype(np.float64) / 255.0
     return img.astype(np.float64)
 
 
-def _hyper_cdf_rows(model: CompressionModel, spatial: int) -> np.ndarray:
+def _hyper_cdf_rows(model: CompressionModel, spatial: int):
+    """The per-channel hyper cdf rows and the row of each z symbol."""
     fracs = model.hyper_prior.frac_means()
     sigmas = model.hyper_prior.sigma().numpy().astype(np.float64)
     per_channel = coder.build_cdf_batch(fracs, sigmas)
-    return np.repeat(per_channel, spatial, axis=0)
-
-
-def _slice_cdf_rows(sigma: np.ndarray) -> np.ndarray:
-    flat = sigma.reshape(-1).astype(np.float64)
-    return coder.build_cdf_batch(np.zeros_like(flat), flat)
+    return per_channel, np.repeat(np.arange(per_channel.shape[0]), spatial)
 
 
 def encode_image(model: CompressionModel, img: np.ndarray,
@@ -98,12 +100,12 @@ def encode_image(model: CompressionModel, img: np.ndarray,
     z_sym = fwd["z_symbols"]
     bundle = fwd["bundle"]
 
-    z_rows = _hyper_cdf_rows(model, z_sym.shape[2] * z_sym.shape[3])
-    streams = [coder.encode_symbols(z_sym.reshape(-1), z_rows)]
+    z_rows, z_index = _hyper_cdf_rows(model, z_sym.shape[2] * z_sym.shape[3])
+    streams = [coder.encode_symbols(z_sym.reshape(-1), z_rows, z_index)]
     num_symbols = z_sym.size
     for rec in bundle.slices:
-        rows = _slice_cdf_rows(rec.sigma)
-        streams.append(coder.encode_symbols(rec.symbols.reshape(-1), rows))
+        streams.append(coder.encode_symbols(rec.symbols.reshape(-1), coder.SCALE_CDFS,
+                                            coder.scale_index(rec.sigma.reshape(-1))))
         num_symbols += rec.symbols.size
 
     header = _HEADER.pack(MAGIC, VERSION, width, height, model.config.config_hash())
@@ -132,6 +134,7 @@ def decode_image(model: CompressionModel, data: bytes) -> DecodeResult:
         raise FormatError(f"bad payload magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported payload version {version}")
+    _check_size(width, height, DecodeError)
     if cfg_hash != model.config.config_hash():
         raise DecodeError(
             "checkpoint/config hash mismatch: this payload was produced by a "
@@ -157,15 +160,16 @@ def decode_image(model: CompressionModel, data: bytes) -> DecodeResult:
     zh, zw = pad_h // SPATIAL_FACTOR, pad_w // SPATIAL_FACTOR
     yh, yw = pad_h // 16, pad_w // 16
 
-    z_rows = _hyper_cdf_rows(model, zh * zw)
-    z_sym = coder.decode_symbols(streams[0], z_rows).reshape(
+    z_rows, z_index = _hyper_cdf_rows(model, zh * zw)
+    z_sym = coder.decode_symbols(streams[0], z_rows, z_index).reshape(
         1, model.config.hyper_channels, zh, zw)
 
     split = model.entropy.split
 
     def symbol_source(i: int, sigma: np.ndarray) -> np.ndarray:
-        rows = _slice_cdf_rows(sigma)
-        return coder.decode_symbols(streams[1 + i], rows).reshape(1, split[i], yh, yw)
+        index = coder.scale_index(sigma.reshape(-1))
+        return coder.decode_symbols(streams[1 + i], coder.SCALE_CDFS, index).reshape(
+            1, split[i], yh, yw)
 
     fwd = model.decode_forward(z_sym, symbol_source)
     recon_padded = fwd["x_hat"][0]

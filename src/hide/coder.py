@@ -32,16 +32,15 @@ _MASK32 = (1 << 32) - 1
 _SQRT2 = math.sqrt(2.0)
 # float32 scale heads round SIGMA_MIN down to 0.0399999991; admit that floor
 _SIGMA_FLOOR = float(np.float32(SIGMA_MIN))
-# For |z| >= 9, _std_cdf(z) is exactly 0.0 or 1.0 in float64
-_Z_SATURATED = 9.0
-# Half-widths of the column windows, centered on symbol 0, that rows are
-# built on; the last one is the whole alphabet.
-_CENTER = -SYMBOL_MIN                            # the column of symbol 0
-_HALF_WIDTHS = tuple(range(4, ALPHABET_SIZE // 2 + 1, 4))
 
 
 def _std_cdf(x: np.ndarray) -> np.ndarray:
     return 0.5 * (1.0 + _erf(x / _SQRT2))
+
+
+def _check_sigma(sigma: np.ndarray) -> None:
+    if not np.all((sigma >= _SIGMA_FLOOR) & (sigma <= SIGMA_MAX + 1e-12)):
+        raise CoderError(f"sigma outside [{SIGMA_MIN}, {SIGMA_MAX}]")
 
 
 def build_cdf_batch(mu_frac: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -53,11 +52,6 @@ def build_cdf_batch(mu_frac: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     and upper tails.  Real probabilities are converted to 16-bit counts
     by largest-remainder rounding with a minimum count of 1 per symbol,
     so every row sums to exactly PROB_TOTAL.
-
-    Only the columns within 9 sigma of the mean can hold mass: each row is
-    built on the narrowest centered window of _HALF_WIDTHS that holds them,
-    and the columns outside get count 1.  A row whose window turns out
-    not to give the full-width counts is built again at full width.
     """
     mu_frac = np.atleast_1d(np.asarray(mu_frac, dtype=np.float64))
     sigma = np.atleast_1d(np.asarray(sigma, dtype=np.float64))
@@ -65,60 +59,20 @@ def build_cdf_batch(mu_frac: np.ndarray, sigma: np.ndarray) -> np.ndarray:
         raise CoderError("mu_frac and sigma must be equal-length 1-d arrays")
     if np.any((mu_frac < 0.0) | (mu_frac >= 1.0)):
         raise CoderError("mu_frac must lie in [0, 1)")
-    if np.any((sigma < _SIGMA_FLOOR) | (sigma > SIGMA_MAX + 1e-12)):
-        raise CoderError(f"sigma outside [{SIGMA_MIN}, {SIGMA_MAX}]")
+    _check_sigma(sigma)
 
-    # Columns of the window's left tail carry count 1, those of its right
-    # tail too, so cdf[j] = j left of the window and PROB_TOTAL -
-    # ALPHABET_SIZE + j right of it.
-    cols = np.arange(ALPHABET_SIZE + 1)
-    cdf = np.empty((mu_frac.shape[0], ALPHABET_SIZE + 1), dtype=np.int64)
-    cdf[:] = np.where(cols <= _CENTER, cols, cols + PROB_TOTAL - ALPHABET_SIZE)
-    bucket = np.searchsorted(_HALF_WIDTHS, np.ceil(_Z_SATURATED * sigma + 1.0))
-    retry = np.zeros(0, dtype=np.int64)
-    for b, h in enumerate(_HALF_WIDTHS):
-        lo, hi = _CENTER - h, _CENTER + h
-        if hi < ALPHABET_SIZE:
-            idx = np.flatnonzero(bucket == b)
-        else:   # full width, which also takes the rows narrower windows could not
-            idx = np.concatenate([np.flatnonzero(bucket >= b), retry])
-        if idx.size == 0:
-            continue
-        counts, exact = _window_counts(mu_frac[idx], sigma[idx], lo, hi)
-        if np.any(counts[exact] <= 0):
-            raise CoderError("cdf construction produced a non-positive count")
-        retry = np.concatenate([retry, idx[~exact]])
-        idx = idx[exact]
-        cdf[idx, lo + 1:hi + 1] = lo + np.cumsum(counts[exact], axis=1)
-    return cdf
-
-
-def _window_counts(mu_frac: np.ndarray, sigma: np.ndarray, lo: int, hi: int):
-    """Counts of columns [lo, hi) of each row, and a mask of the rows for
-    which they are exactly the full-width counts.
-
-    The window is exact when its outer edges sit where the Gaussian cdf
-    is exactly 0.0 and 1.0, so every column outside has pmf 0 and count
-    1, and when no largest-remainder deficit reaches a bin with zero
-    fraction, whose order would depend on the columns outside.  At full
-    width every row is exact.
-    """
-    n, width = mu_frac.shape[0], hi - lo
-    # the lower edge of column lo, then the upper edge of every column
-    edges = np.arange(lo - 1, hi, dtype=np.float64) + (SYMBOL_MIN + 0.5)
+    n = mu_frac.shape[0]
+    edges = np.arange(SYMBOL_MIN, SYMBOL_MAX + 1, dtype=np.float64) + 0.5
     upper = _std_cdf((edges[None, :] - mu_frac[:, None]) / sigma[:, None])
-    saturated = (upper[:, 0] == 0.0) & (upper[:, -1] == 1.0)
-    upper[:, 0] = 0.0                            # fold the low tail into column lo
-    upper[:, -1] = 1.0                           # fold the high tail into column hi - 1
-    pmf = np.diff(upper, axis=1)
-
-    counts, exact1 = _largest_remainder(pmf * PROB_TOTAL, PROB_TOTAL)
+    upper[:, -1] = 1.0                           # fold the high tail into bin 63
+    pmf = np.diff(upper, axis=1, prepend=0.0)    # bin -64 takes the low tail
+    counts = _largest_remainder(pmf * PROB_TOTAL, PROB_TOTAL)
 
     # Enforce a minimum count of 1.  The subsidy for empty bins is paid by
     # the other bins proportionally to their headroom, keeping the dominant
     # bin accurate; it only pays when nothing else can (very small sigma).
     zeros = counts == 0
-    subsidy = zeros.sum(axis=1) + (ALPHABET_SIZE - width)
+    subsidy = zeros.sum(axis=1)
     counts[zeros] = 1
     rows = np.arange(n)
     top = np.argmax(counts, axis=1)
@@ -127,18 +81,21 @@ def _window_counts(mu_frac: np.ndarray, sigma: np.ndarray, lo: int, hi: int):
     total_cap = caps.sum(axis=1)
     payable = np.minimum(subsidy, total_cap)
     safe_total = np.where(total_cap > 0, total_cap, 1)
-    pay, exact2 = _largest_remainder(payable[:, None] * caps / safe_total[:, None], payable)
-    counts -= pay
+    counts -= _largest_remainder(payable[:, None] * caps / safe_total[:, None], payable)
     counts[rows, top] -= subsidy - payable
-    return counts, (width == ALPHABET_SIZE) | (saturated & exact1 & exact2)
+    if np.any(counts <= 0):
+        raise CoderError("cdf construction produced a non-positive count")
+
+    cdf = np.zeros((n, ALPHABET_SIZE + 1), dtype=np.int64)
+    np.cumsum(counts, axis=1, out=cdf[:, 1:])
+    return cdf
 
 
-def _largest_remainder(scaled: np.ndarray, target):
+def _largest_remainder(scaled: np.ndarray, target) -> np.ndarray:
     """Round rows of nonnegative reals to integers summing to target.
 
     The deficit goes one count each to the bins with the largest
-    fractions, ties to the lower column.  Also returns which rows gave
-    counts only to bins with a positive fraction.
+    fractions, ties to the lower column.
     """
     n, width = scaled.shape
     counts = np.floor(scaled).astype(np.int64)
@@ -152,12 +109,32 @@ def _largest_remainder(scaled: np.ndarray, target):
     ties = frac == threshold[:, None]
     left = deficit - above.sum(axis=1)
     bump = above | (ties & (np.cumsum(ties, axis=1, dtype=np.int16) <= left[:, None]))
-    return counts + bump, deficit <= (frac > 0).sum(axis=1)
+    return counts + bump
 
 
 def build_cdf(mu_frac: float, sigma: float) -> np.ndarray:
     """Single quantized cdf row (cumulative counts, length 129)."""
     return build_cdf_batch(np.array([mu_frac]), np.array([sigma]))[0]
+
+
+# The codec snaps every slice sigma to one of SCALE_LEVELS log-spaced
+# scales over [SIGMA_MIN, SIGMA_MAX]; their cdf rows (mu_frac = 0) are
+# built once, here.
+SCALE_LEVELS = 256
+SCALE_TABLE = np.geomspace(SIGMA_MIN, SIGMA_MAX, SCALE_LEVELS)
+SCALE_CDFS = build_cdf_batch(np.zeros(SCALE_LEVELS), SCALE_TABLE)
+SCALE_TABLE.flags.writeable = False
+SCALE_CDFS.flags.writeable = False
+# the geometric midpoints between neighbouring scales
+_SCALE_MIDPOINTS = np.sqrt(SCALE_TABLE[:-1] * SCALE_TABLE[1:])
+
+
+def scale_index(sigma) -> np.ndarray:
+    """Index of the SCALE_TABLE entry nearest sigma on a log scale, shaped
+    like sigma: the k with midpoint[k-1] <= sigma < midpoint[k]."""
+    sigma = np.asarray(sigma)
+    _check_sigma(sigma)
+    return np.searchsorted(_SCALE_MIDPOINTS, sigma, side="right")
 
 
 def validate_cdf(cdf: np.ndarray) -> None:
@@ -235,21 +212,34 @@ class _Decoder:
         return pos - lo
 
 
-def encode_symbols(symbols: Sequence[int], cdfs: np.ndarray) -> bytes:
+def _row_index(cdfs: np.ndarray, index, n: int) -> np.ndarray:
+    """The validated row of cdfs for each of n symbols."""
+    if index is None:
+        if cdfs.shape[0] != n:
+            raise CoderError(f"{n} symbols but {cdfs.shape[0]} cdfs")
+        return np.arange(n)
+    index = np.asarray(index)
+    if index.shape != (n,) or (n and index.dtype.kind not in "iu"):
+        raise CoderError(f"row index must be {n} integers, got {index.dtype} {index.shape}")
+    if n and (index.min() < 0 or index.max() >= cdfs.shape[0]):
+        raise CoderError(f"row index outside the {cdfs.shape[0]} cdf rows")
+    return index
+
+
+def encode_symbols(symbols: Sequence[int], cdfs: np.ndarray, index=None) -> bytes:
     """Encode symbols (values in [SYMBOL_MIN, SYMBOL_MAX]) under per-symbol cdfs.
 
-    cdfs has shape [n, ALPHABET_SIZE + 1]; row i is the quantized cdf of
-    symbol i.  A single row may be passed for a shared model.
+    cdfs has shape [rows, ALPHABET_SIZE + 1].  Symbol i is coded under row
+    index[i], or under row i when index is None.  A single 1-d row may be
+    passed for a shared model.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
     cdfs = np.asarray(cdfs, dtype=np.int64)
     if cdfs.ndim == 1:
         cdfs = np.broadcast_to(cdfs, (symbols.size, cdfs.size))
-    if cdfs.shape[0] != symbols.size:
-        raise CoderError(f"{symbols.size} symbols but {cdfs.shape[0]} cdfs")
+    rows = _row_index(cdfs, index, symbols.size)
     if symbols.size and (symbols.min() < SYMBOL_MIN or symbols.max() > SYMBOL_MAX):
         raise CoderError("symbol outside the coder alphabet; clamp before encoding")
-    rows = np.arange(symbols.size)
     idx = symbols - SYMBOL_MIN
     enc = _Encoder()
     for cum_lo, cum_hi in zip(cdfs[rows, idx].tolist(), cdfs[rows, idx + 1].tolist()):
@@ -257,18 +247,20 @@ def encode_symbols(symbols: Sequence[int], cdfs: np.ndarray) -> bytes:
     return enc.flush()
 
 
-def decode_symbols(data: bytes, cdfs: np.ndarray) -> np.ndarray:
-    """Exact inverse of encode_symbols; cdfs must match the encoder's order."""
+def decode_symbols(data: bytes, cdfs: np.ndarray, index=None) -> np.ndarray:
+    """Exact inverse of encode_symbols; cdfs and index must match the encoder's."""
     cdfs = np.asarray(cdfs, dtype=np.int64)
     if cdfs.ndim != 2 or cdfs.shape[1] < 2:
-        raise CoderError("decode_symbols needs one cdf row per symbol")
-    n, width = cdfs.shape
+        raise CoderError("decode_symbols needs 2-d cdf rows")
+    n = cdfs.shape[0] if index is None else np.size(index)
+    width = cdfs.shape[1]
+    starts = (_row_index(cdfs, index, n) * width).tolist()
     if len(data) < 5:
         raise DecodeError(f"stream of {len(data)} bytes is shorter than the coder flush")
     dec = _Decoder(data)
     # a flat memoryview hands bisect Python ints without numpy scalar boxing
     flat = memoryview(np.ascontiguousarray(cdfs).reshape(-1))
-    out = [dec.decode(flat, lo, lo + width) for lo in range(0, n * width, width)]
+    out = [dec.decode(flat, lo, lo + width) for lo in starts]
     return np.array(out, dtype=np.int64) + SYMBOL_MIN
 
 

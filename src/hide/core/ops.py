@@ -74,7 +74,9 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
         raise ShapeError(f"conv2d output would be empty for input {x.shape}, k={k}, "
                          f"stride={stride}, padding={padding}")
 
-    x_pad = np.pad(x.data, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    x_pad = x.data
+    if padding:
+        x_pad = np.pad(x_pad, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
     cols = _im2col(x_pad, k, stride).reshape(c_in * k * k, b * h_out * w_out)
     w_mat = kernel.data.reshape(c_out, c_in * k * k)
     out_mat = w_mat @ cols

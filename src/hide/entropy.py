@@ -20,6 +20,7 @@ from typing import List, Optional
 
 import numpy as np
 
+from . import coder
 from .attention import HierarchicalDictContext, SingleDictContext
 from .constants import P_MIN, SYMBOL_MAX, SYMBOL_MIN
 from .core import nn, ops
@@ -70,6 +71,12 @@ def likelihood(value: Tensor, mu: Tensor, sigma: Tensor) -> Tensor:
     upper = ops.gaussian_cdf(T.div(T.add(centered, 0.5), sigma))
     lower = ops.gaussian_cdf(T.div(T.sub(centered, 0.5), sigma))
     return T.maximum(T.sub(upper, lower), P_MIN)
+
+
+def snap_scale(sigma: Tensor) -> Tensor:
+    """sigma snapped to the coder's fixed scale table, in its own dtype."""
+    table = coder.SCALE_TABLE[coder.scale_index(sigma.numpy())]
+    return Tensor(table, dtype=sigma.dtype)
 
 
 def rate_bits(p: Tensor) -> Tensor:
@@ -204,7 +211,9 @@ class SliceEntropyModel(nn.Module):
 
         When encoding, ``y`` supplies the latents to quantize.  When
         decoding, ``symbol_source(i, sigma)`` returns the slice's integer
-        symbols decoded from the bitstream.
+        symbols decoded from the bitstream.  Every sigma is snapped to the
+        coder's scale table first, so the rate estimate, the records and
+        the coded rows all use the same scale.
         """
         if (y is None) == (symbol_source is None):
             raise ShapeError("codec_pass needs exactly one of y or symbol_source")
@@ -220,6 +229,7 @@ class SliceEntropyModel(nn.Module):
         for i in range(self.num_slices):
             mu, sigma, s, retrieved = self.slice_params(
                 i, hyper_ctx, decoded, keep_attention=keep_attention)
+            sigma = snap_scale(sigma)
             if y_slices is not None:
                 _, m = quantize(y_slices[i], mu, "round")
             else:

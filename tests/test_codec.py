@@ -1,11 +1,12 @@
 """End-to-end codec: shapes, round trips, no-drift, file format."""
 
+import math
 import struct
 
 import numpy as np
 import pytest
 
-from hide import codec, ppm
+from hide import codec, coder, ppm
 from hide.config import ModelConfig, parse_config_text
 from hide.errors import ConfigError, DecodeError, FormatError, ShapeError
 from hide.model import CompressionModel, load_model
@@ -111,6 +112,15 @@ class TestRoundTrip:
         with pytest.raises(DecodeError, match="hash"):
             codec.decode_image(other, enc.data)
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_slice_sigmas_lie_on_the_scale_table(self, image, dtype):
+        model_ = CompressionModel(tiny_config(seed=8, dtype=dtype))
+        enc = codec.encode_image(model_, image)
+        table = coder.SCALE_TABLE.astype(dtype)
+        for rec in enc.slice_records:
+            assert rec.sigma.dtype == dtype
+            assert np.isin(rec.sigma, table).all()
+
     def test_float32_mode_round_trip(self, image):
         model32 = CompressionModel(tiny_config(seed=8, dtype="float32"))
         enc = codec.encode_image(model32, image)
@@ -122,10 +132,10 @@ class TestRoundTrip:
 
 
 class TestContainer:
-    def test_header_is_22_bytes_version_2(self, model, image):
+    def test_header_is_22_bytes_version_3(self, model, image):
         enc = codec.encode_image(model, image)
         magic, version, width, height, cfg_hash = struct.unpack_from("<4sHII8s", enc.data)
-        assert (magic, version, width, height) == (b"HIDB", 2, 64, 64)
+        assert (magic, version, width, height) == (b"HIDB", 3, 64, 64)
         assert cfg_hash == model.config.config_hash()
         streams = 4 * (model.config.s + 1) + enc.payload_bits // 8
         assert len(enc.data) == 22 + streams
@@ -135,6 +145,33 @@ class TestContainer:
         v1 = enc.data[:4] + struct.pack("<H", 1) + enc.data[6:]
         with pytest.raises(FormatError, match="version 1"):
             codec.decode_image(model, v1)
+
+    def test_version_2_refused(self, model, image):
+        # v2 coded slices under unsnapped scales: its streams would decode
+        # to the wrong symbols without an error
+        enc = codec.encode_image(model, image)
+        v2 = enc.data[:4] + struct.pack("<H", 2) + enc.data[6:]
+        with pytest.raises(FormatError, match="version 2"):
+            codec.decode_image(model, v2)
+
+    @pytest.mark.parametrize("side", [1 << 20, (1 << 32) - 1])
+    def test_oversized_header_refused_before_allocating(self, model, image, side):
+        enc = codec.encode_image(model, image)
+        forged = enc.data[:6] + struct.pack("<II", side, side) + enc.data[14:]
+        with pytest.raises(DecodeError, match=f"{side}x{side}"):
+            codec.decode_image(model, forged)
+
+    def test_zero_dimension_header_refused(self, model, image):
+        enc = codec.encode_image(model, image)
+        forged = enc.data[:6] + struct.pack("<II", 0, 64) + enc.data[14:]
+        with pytest.raises(DecodeError, match="0x64"):
+            codec.decode_image(model, forged)
+
+    def test_oversized_image_refused(self, model):
+        side = math.isqrt(codec.MAX_PIXELS) + 1
+        img = np.broadcast_to(np.zeros((3, 1, 1), dtype=np.uint8), (3, side, side))
+        with pytest.raises(ShapeError, match=f"{side}x{side}"):
+            codec.encode_image(model, img)
 
     def test_lambda_travels_only_in_the_hash(self, model, image):
         other = CompressionModel(tiny_config(lam=0.05))

@@ -74,8 +74,8 @@ def digest_grid():
 
 
 def oracle_build_cdf_batch(mu_frac, sigma):
-    """The full-width builder that windowed construction must reproduce bit
-    for bit: every row computes all ALPHABET_SIZE columns."""
+    """The builder with the lexsort of the original largest-remainder
+    rounding, which build_cdf_batch must reproduce bit for bit."""
     n = mu_frac.shape[0]
     edges = np.arange(SYMBOL_MIN, SYMBOL_MAX + 1, dtype=np.float64) + 0.5
     upper = coder._std_cdf((edges[None, :] - mu_frac[:, None]) / sigma[:, None])
@@ -112,16 +112,15 @@ def oracle_largest_remainder(scaled, target):
 
 
 _SIGMA_FLOOR32 = float(np.float32(SIGMA_MIN))
-# Rows whose window is chosen by sigma alone but whose mean sits so near
-# the window's right edge that the cdf there is below 1.0: the builder
-# must rebuild them at full width.
+# Rows whose mean sits so near symbol 1 that a column window sized by
+# sigma alone (9 sigma, in steps of 4 columns) would cut off mass.
 _WINDOW_FALLBACK_ROWS = [(0.99, 1.0 / 3.0), (0.95, 0.32)]
 _mu_fracs = st.one_of(st.just(0.0), st.floats(0.0, 1.0, exclude_max=True),
                       st.floats(0.75, 1.0, exclude_max=True))
 _sigmas = st.one_of(
     st.floats(_SIGMA_FLOOR32, SIGMA_MAX),
     st.sampled_from([_SIGMA_FLOOR32, SIGMA_MIN, SIGMA_MAX]),
-    # the largest sigma of each window half-width, and just above it
+    # the largest sigma of each 4-column window step, and just above it
     st.integers(4, 64).map(lambda h: (h - 1.0) / 9.0),
     st.integers(4, 64).map(lambda h: np.nextafter((h - 1.0) / 9.0, np.inf)),
 )
@@ -133,12 +132,6 @@ class TestBuildCdf:
     @example(_WINDOW_FALLBACK_ROWS)
     def test_matches_full_width_oracle(self, pairs):
         mu, sig = (np.array(v, dtype=np.float64) for v in zip(*pairs))
-        assert np.array_equal(coder.build_cdf_batch(mu, sig), oracle_build_cdf_batch(mu, sig))
-
-    def test_window_fallback_rows_exist(self):
-        mu, sig = (np.array(v) for v in zip(*_WINDOW_FALLBACK_ROWS))
-        _, exact = coder._window_counts(mu, sig, -SYMBOL_MIN - 4, -SYMBOL_MIN + 4)
-        assert not exact.any()
         assert np.array_equal(coder.build_cdf_batch(mu, sig), oracle_build_cdf_batch(mu, sig))
 
     def test_std_cdf_saturates_at_nine_sigma(self):
@@ -195,6 +188,64 @@ class TestBuildCdf:
         coder.validate_cdf(coder.build_cdf(0.3, 2.0))
         with pytest.raises(CoderError):
             coder.validate_cdf(np.array([0, 5, 5, PROB_TOTAL]))
+
+
+class TestScaleTable:
+    def test_table_rows_digest(self):
+        # The table's rows are part of the bitstream format, like build_cdf_batch's.
+        table = coder.SCALE_CDFS
+        assert table.shape == (coder.SCALE_LEVELS, ALPHABET_SIZE + 1)
+        assert (coder.SCALE_TABLE[0], coder.SCALE_TABLE[-1]) == (SIGMA_MIN, SIGMA_MAX)
+        assert np.array_equal(table, oracle_build_cdf_batch(np.zeros(len(table)),
+                                                            coder.SCALE_TABLE))
+        digest = hashlib.sha256(table.astype("<i8").tobytes()).hexdigest()
+        assert digest == "3eed1a0a8c20379841b4a4fdac8e543bca4b85ca3f7aaa2f4376f1be4dfa8299"
+
+    def test_scale_index_monotone_with_end_entries(self):
+        sig = np.geomspace(_SIGMA_FLOOR32, SIGMA_MAX, 20001)
+        idx = coder.scale_index(sig)
+        assert (np.diff(idx) >= 0).all()
+        assert set(idx.tolist()) == set(range(coder.SCALE_LEVELS))
+        last = coder.SCALE_LEVELS - 1
+        ends = [_SIGMA_FLOOR32, SIGMA_MIN, SIGMA_MAX, np.float32(SIGMA_MIN), np.float32(SIGMA_MAX)]
+        assert [int(coder.scale_index(s)) for s in ends] == [0, 0, last, 0, last]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_scale_index_idempotent_on_table_values(self, dtype):
+        table = coder.SCALE_TABLE.astype(dtype)
+        assert coder.scale_index(table).tolist() == list(range(coder.SCALE_LEVELS))
+
+    def test_scale_index_nearest_in_log_scale(self, rng):
+        sig = np.exp(rng.uniform(np.log(SIGMA_MIN), np.log(SIGMA_MAX), 5000))
+        dist = np.abs(np.log(sig[:, None]) - np.log(coder.SCALE_TABLE[None, :]))
+        assert np.array_equal(coder.scale_index(sig), np.argmin(dist, axis=1))
+
+    def test_scale_index_rejects_out_of_range(self):
+        for bad in (0.039, SIGMA_MAX * 1.001, np.nan):
+            with pytest.raises(CoderError):
+                coder.scale_index(np.array([1.0, bad]))
+
+    def test_indexed_rows_match_gathered_rows(self, rng):
+        n = 4000
+        index = coder.scale_index(np.exp(rng.uniform(np.log(SIGMA_MIN), np.log(8.0), n)))
+        syms = np.clip(np.round(rng.standard_normal(n) * coder.SCALE_TABLE[index]),
+                       SYMBOL_MIN, SYMBOL_MAX).astype(np.int64)
+        syms[::13] = rng.integers(SYMBOL_MIN, SYMBOL_MAX + 1, size=syms[::13].size)
+        table = coder.SCALE_CDFS
+        data = coder.encode_symbols(syms, table, index)
+        assert data == coder.encode_symbols(syms, table[index])
+        np.testing.assert_array_equal(coder.decode_symbols(data, table, index), syms)
+        np.testing.assert_array_equal(coder.decode_symbols(data, table[index]), syms)
+
+    def test_bad_row_index_rejected(self):
+        table = coder.SCALE_CDFS
+        for index in ([0, coder.SCALE_LEVELS], [-1, 0], [0.0, 1.0]):
+            with pytest.raises(CoderError):
+                coder.encode_symbols([0, 0], table, np.array(index))
+            with pytest.raises(CoderError):
+                coder.decode_symbols(bytes(16), table, np.array(index))
+        with pytest.raises(CoderError):
+            coder.encode_symbols([0, 0], table, np.array([0]))
 
 
 class TestRoundTrip:
