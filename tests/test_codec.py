@@ -1,5 +1,6 @@
 """End-to-end codec: shapes, round trips, no-drift, file format."""
 
+import hashlib
 import math
 import struct
 
@@ -235,6 +236,27 @@ class TestCheckpoint:
         # dictionary swap only: baseline vs hd differ solely under dict paths
         dict_diff = {n for n in names["baseline"] ^ names["hd"]}
         assert dict_diff and all(n.startswith("entropy.dict_ctx.") for n in dict_diff)
+
+
+class TestDigests:
+    """Bytes pinned across refactors of the engine and the codec."""
+
+    @pytest.mark.parametrize("variant,digest", [
+        ("baseline", "da2b718b38395ed2fe968c75f6dc275df9dae265fd41229cfef9e9c1a3336130"),
+        ("hd", "db0f1c58d0c13d60682cfd1a1876a046e9c0996599f4d87250c2faf313c8f151"),
+        ("cape", "b610d278cdb5700e2c5b2a055d774f1cb0f19585623b52edee238852904be42c"),
+        ("hide", "50765b271f119b1af6488085ccc8bc825e34c6fe4ea35de2af5431f3e97ae77a"),
+    ])
+    def test_untrained_float32_checkpoint(self, tmp_path, variant, digest):
+        # initialisation is RNG draws and casts only, no BLAS: host-independent
+        path = tmp_path / "model.hide"
+        CompressionModel(tiny_config(variant=variant, dtype="float32")).save(str(path))
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    def test_untrained_float64_payload(self, model, image):
+        data = codec.encode_image(model, image).data
+        assert hashlib.sha256(data).hexdigest() == (
+            "17e1428cefc1efaf54d3377a1f96ec1e4102e6df405cc1d1fe897bc9ff9f4ad7")
 
 
 class TestConfig:
