@@ -23,6 +23,9 @@ from .entropy import likelihood
 from .errors import FormatError, HideError
 from .model import CompressionModel
 
+# entries per dictionary whose attention maps the heatmaps show
+TOP_K = 4
+
 
 # -- matrix dump format: one ASCII header line, then little-endian f32 ----
 
@@ -136,9 +139,9 @@ def utilization_report(model: CompressionModel,
     return UtilizationReport(usage=usage, distribution=dist, entropy_bits=ent)
 
 
-def attention_heatmaps(model: CompressionModel, img: np.ndarray,
-                       top_k: int = 4) -> Dict[str, Dict[int, np.ndarray]]:
-    """Spatial attention maps (head- and slice-averaged) of the top-k most
+def attention_heatmaps(model: CompressionModel,
+                       img: np.ndarray) -> Dict[str, Dict[int, np.ndarray]]:
+    """Spatial attention maps (head- and slice-averaged) of the TOP_K most
     used entries of each dictionary, for one image."""
     from .codec import pad_image
     padded = pad_image(np.asarray(img, dtype=np.float64))
@@ -154,7 +157,7 @@ def attention_heatmaps(model: CompressionModel, img: np.ndarray,
             per_slice.append(attn.mean(axis=0))          # heads averaged -> [T, N]
         mean_attn = np.mean(per_slice, axis=0)           # slices averaged
         usage = mean_attn.mean(axis=0)
-        top = np.argsort(-usage)[:top_k]
+        top = np.argsort(-usage)[:TOP_K]
         out[name] = {int(e): mean_attn[:, e].reshape(h, w) for e in top}
     return out
 
@@ -191,14 +194,14 @@ def entropy_map(model: CompressionModel, img: np.ndarray) -> EntropyMap:
 
 
 def write_analysis_outputs(model: CompressionModel, images: Sequence[np.ndarray],
-                           out_dir: str, top_k: int = 4) -> List[str]:
+                           out_dir: str) -> List[str]:
     """Emit the analyze artifacts; returns the report lines."""
     os.makedirs(out_dir, exist_ok=True)
     report = utilization_report(model, images)
     lines = report.lines()
     for name in report.usage:
         save_matrix(os.path.join(out_dir, f"usage_{name}.mat"), report.usage[name])
-    heat = attention_heatmaps(model, images[0], top_k=top_k)
+    heat = attention_heatmaps(model, images[0])
     for name, entries in heat.items():
         for entry, grid in entries.items():
             ppm.write_pgm(os.path.join(out_dir, f"attn_{name}_entry{entry:03d}.pgm"),

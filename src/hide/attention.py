@@ -35,7 +35,7 @@ class PriorDictionary(nn.Module):
         self.dim = dim
         scale = dim ** -0.5
         self.entries = nn.Parameter(
-            (rng.standard_normal((n_entries, dim)) * scale).astype(T.get_default_dtype()))
+            rng.standard_normal((n_entries, dim)) * scale)
 
 
 @dataclass
@@ -98,19 +98,18 @@ class SliceRetrievalWeights(nn.Module):
                  rng: np.random.Generator):
         super().__init__()
         self.heads = heads
-        dt = T.get_default_dtype()
-        self.global_query = nn.Linear(ctx_channels, dict_dim, rng, bias=False)
-        self.global_key = nn.Linear(dict_dim, dict_dim, rng, bias=False)
-        self.enhance_proj = nn.Linear(ctx_channels + dict_dim, dict_dim, rng, bias=False)
+        self.global_query = nn.Linear(ctx_channels, dict_dim, rng)
+        self.global_key = nn.Linear(dict_dim, dict_dim, rng)
+        self.enhance_proj = nn.Linear(ctx_channels + dict_dim, dict_dim, rng)
         self.enhance_norm = nn.LayerNorm(dict_dim)
-        self.detail_query = nn.Linear(dict_dim, dict_dim, rng, bias=False)
-        self.detail_key = nn.Linear(dict_dim, dict_dim, rng, bias=False)
-        self.fuse_in = nn.Linear(2 * dict_dim, dict_dim, rng, bias=False)
-        self.fuse_out = nn.Linear(dict_dim, ctx_channels, rng, bias=False)
+        self.detail_query = nn.Linear(dict_dim, dict_dim, rng)
+        self.detail_key = nn.Linear(dict_dim, dict_dim, rng)
+        self.fuse_in = nn.Linear(2 * dict_dim, dict_dim, rng)
+        self.fuse_out = nn.Linear(dict_dim, ctx_channels, rng)
         # init recovers scaled dot-product attention: temp = sqrt(C_d / heads)
         init_log_temp = 0.5 * np.log(dict_dim / heads)
-        self.log_temp_global = nn.Parameter(np.array(init_log_temp, dtype=dt))
-        self.log_temp_detail = nn.Parameter(np.array(init_log_temp, dtype=dt))
+        self.log_temp_global = nn.Parameter(init_log_temp)
+        self.log_temp_detail = nn.Parameter(init_log_temp)
 
 
 def global_retrieve(x: Tensor, dictionary: PriorDictionary,
@@ -188,12 +187,11 @@ class SingleStageWeights(nn.Module):
                  rng: np.random.Generator):
         super().__init__()
         self.heads = heads
-        dt = T.get_default_dtype()
-        self.query = nn.Linear(ctx_channels, dict_dim, rng, bias=False)
-        self.key = nn.Linear(dict_dim, dict_dim, rng, bias=False)
-        self.fuse_in = nn.Linear(dict_dim, dict_dim, rng, bias=False)
-        self.fuse_out = nn.Linear(dict_dim, ctx_channels, rng, bias=False)
-        self.log_temp = nn.Parameter(np.array(0.5 * np.log(dict_dim / heads), dtype=dt))
+        self.query = nn.Linear(ctx_channels, dict_dim, rng)
+        self.key = nn.Linear(dict_dim, dict_dim, rng)
+        self.fuse_in = nn.Linear(dict_dim, dict_dim, rng)
+        self.fuse_out = nn.Linear(dict_dim, ctx_channels, rng)
+        self.log_temp = nn.Parameter(0.5 * np.log(dict_dim / heads))
 
 
 class SingleDictContext(nn.Module):

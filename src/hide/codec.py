@@ -90,13 +90,12 @@ def _hyper_cdf_rows(model: CompressionModel, spatial: int):
     return per_channel, np.repeat(np.arange(per_channel.shape[0]), spatial)
 
 
-def encode_image(model: CompressionModel, img: np.ndarray,
-                 keep_attention: bool = False) -> EncodeResult:
+def encode_image(model: CompressionModel, img: np.ndarray) -> EncodeResult:
     unit = _as_unit_float(img)
     _, height, width = unit.shape
     padded = pad_image(unit)
 
-    fwd = model.encode_forward(padded, keep_attention=keep_attention)
+    fwd = model.encode_forward(padded)
     z_sym = fwd["z_symbols"]
     bundle = fwd["bundle"]
 
@@ -105,7 +104,7 @@ def encode_image(model: CompressionModel, img: np.ndarray,
     num_symbols = z_sym.size
     for rec in bundle.slices:
         streams.append(coder.encode_symbols(rec.symbols.reshape(-1), coder.SCALE_CDFS,
-                                            coder.scale_index(rec.sigma.reshape(-1))))
+                                            rec.scale_index.reshape(-1)))
         num_symbols += rec.symbols.size
 
     header = _HEADER.pack(MAGIC, VERSION, width, height, model.config.config_hash())
@@ -158,18 +157,14 @@ def decode_image(model: CompressionModel, data: bytes) -> DecodeResult:
     pad_h = height + ((-height) % SPATIAL_FACTOR)
     pad_w = width + ((-width) % SPATIAL_FACTOR)
     zh, zw = pad_h // SPATIAL_FACTOR, pad_w // SPATIAL_FACTOR
-    yh, yw = pad_h // 16, pad_w // 16
 
     z_rows, z_index = _hyper_cdf_rows(model, zh * zw)
     z_sym = coder.decode_symbols(streams[0], z_rows, z_index).reshape(
         1, model.config.hyper_channels, zh, zw)
 
-    split = model.entropy.split
-
-    def symbol_source(i: int, sigma: np.ndarray) -> np.ndarray:
-        index = coder.scale_index(sigma.reshape(-1))
-        return coder.decode_symbols(streams[1 + i], coder.SCALE_CDFS, index).reshape(
-            1, split[i], yh, yw)
+    def symbol_source(i: int, index: np.ndarray) -> np.ndarray:
+        return coder.decode_symbols(streams[1 + i], coder.SCALE_CDFS,
+                                    index.reshape(-1)).reshape(index.shape)
 
     fwd = model.decode_forward(z_sym, symbol_source)
     recon_padded = fwd["x_hat"][0]

@@ -112,11 +112,6 @@ def _largest_remainder(scaled: np.ndarray, target) -> np.ndarray:
     return counts + bump
 
 
-def build_cdf(mu_frac: float, sigma: float) -> np.ndarray:
-    """Single quantized cdf row (cumulative counts, length 129)."""
-    return build_cdf_batch(np.array([mu_frac]), np.array([sigma]))[0]
-
-
 # The codec snaps every slice sigma to one of SCALE_LEVELS log-spaced
 # scales over [SIGMA_MIN, SIGMA_MAX]; their cdf rows (mu_frac = 0) are
 # built once, here.
@@ -135,13 +130,6 @@ def scale_index(sigma) -> np.ndarray:
     sigma = np.asarray(sigma)
     _check_sigma(sigma)
     return np.searchsorted(_SCALE_MIDPOINTS, sigma, side="right")
-
-
-def validate_cdf(cdf: np.ndarray) -> None:
-    if cdf.ndim != 1 or cdf[0] != 0 or cdf[-1] != PROB_TOTAL:
-        raise CoderError("cdf must start at 0 and end at PROB_TOTAL")
-    if np.any(np.diff(cdf) < 1):
-        raise CoderError("cdf must be strictly increasing (min count 1)")
 
 
 class _Encoder:
@@ -214,6 +202,8 @@ class _Decoder:
 
 def _row_index(cdfs: np.ndarray, index, n: int) -> np.ndarray:
     """The validated row of cdfs for each of n symbols."""
+    if cdfs.ndim != 2 or cdfs.shape[1] < 2:
+        raise CoderError(f"cdfs must be 2-d rows of at least 2 columns, got {cdfs.shape}")
     if index is None:
         if cdfs.shape[0] != n:
             raise CoderError(f"{n} symbols but {cdfs.shape[0]} cdfs")
@@ -230,13 +220,10 @@ def encode_symbols(symbols: Sequence[int], cdfs: np.ndarray, index=None) -> byte
     """Encode symbols (values in [SYMBOL_MIN, SYMBOL_MAX]) under per-symbol cdfs.
 
     cdfs has shape [rows, ALPHABET_SIZE + 1].  Symbol i is coded under row
-    index[i], or under row i when index is None.  A single 1-d row may be
-    passed for a shared model.
+    index[i], or under row i when index is None.
     """
     symbols = np.asarray(symbols, dtype=np.int64)
     cdfs = np.asarray(cdfs, dtype=np.int64)
-    if cdfs.ndim == 1:
-        cdfs = np.broadcast_to(cdfs, (symbols.size, cdfs.size))
     rows = _row_index(cdfs, index, symbols.size)
     if symbols.size and (symbols.min() < SYMBOL_MIN or symbols.max() > SYMBOL_MAX):
         raise CoderError("symbol outside the coder alphabet; clamp before encoding")
@@ -250,11 +237,10 @@ def encode_symbols(symbols: Sequence[int], cdfs: np.ndarray, index=None) -> byte
 def decode_symbols(data: bytes, cdfs: np.ndarray, index=None) -> np.ndarray:
     """Exact inverse of encode_symbols; cdfs and index must match the encoder's."""
     cdfs = np.asarray(cdfs, dtype=np.int64)
-    if cdfs.ndim != 2 or cdfs.shape[1] < 2:
-        raise CoderError("decode_symbols needs 2-d cdf rows")
-    n = cdfs.shape[0] if index is None else np.size(index)
+    n = np.size(index) if index is not None else cdfs.shape[0] if cdfs.ndim else 0
+    rows = _row_index(cdfs, index, n)
     width = cdfs.shape[1]
-    starts = (_row_index(cdfs, index, n) * width).tolist()
+    starts = (rows * width).tolist()
     if len(data) < 5:
         raise DecodeError(f"stream of {len(data)} bytes is shorter than the coder flush")
     dec = _Decoder(data)
@@ -265,11 +251,10 @@ def decode_symbols(data: bytes, cdfs: np.ndarray, index=None) -> np.ndarray:
 
 
 def quantized_bits(symbols: Sequence[int], cdfs: np.ndarray) -> float:
-    """Information content sum(-log2 count/PROB_TOTAL) under the quantized cdfs."""
+    """Information content sum(-log2 count/PROB_TOTAL) of symbol i under
+    cdf row i."""
     symbols = np.asarray(symbols, dtype=np.int64)
     cdfs = np.asarray(cdfs, dtype=np.int64)
-    if cdfs.ndim == 1:
-        cdfs = np.broadcast_to(cdfs, (symbols.size, cdfs.size))
     idx = symbols - SYMBOL_MIN
     rows = np.arange(symbols.size)
     counts = cdfs[rows, idx + 1] - cdfs[rows, idx]

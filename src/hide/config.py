@@ -15,6 +15,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 
+from .backbone import SPATIAL_FACTOR
 from .errors import ConfigError
 
 VARIANTS = ("baseline", "hd", "cape", "hide")
@@ -28,6 +29,9 @@ _VARIANT_ALIASES = {
 
 _KEY_TO_ATTR = {"lambda": "lam"}
 _ATTR_TO_KEY = {"lam": "lambda"}
+# integer keys that count something and must be at least 1
+_SIZE_KEYS = ("M", "s", "hyper_channels", "C_d", "N_G", "N_D", "heads", "C_ctx",
+              "steps", "batch_size")
 
 
 def normalize_variant(name: str) -> str:
@@ -59,7 +63,17 @@ class ModelConfig:
 
     def __post_init__(self):
         self.variant = normalize_variant(self.variant)
-        if self.s < 1 or self.M < self.s:
+        for key in _SIZE_KEYS:
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must not be negative, got {self.seed}")
+        if not 0 < self.lr_drop_frac <= 1:
+            raise ConfigError(f"lr_drop_frac must lie in (0, 1], got {self.lr_drop_frac}")
+        if self.patch_size < 1 or self.patch_size % SPATIAL_FACTOR:
+            raise ConfigError(f"patch_size must be a positive multiple of {SPATIAL_FACTOR}, "
+                              f"got {self.patch_size}")
+        if self.M < self.s:
             raise ConfigError(f"need 1 <= s <= M, got s={self.s}, M={self.M}")
         if self.C_d % self.heads != 0:
             raise ConfigError(f"C_d={self.C_d} must be divisible by heads={self.heads}")

@@ -4,17 +4,12 @@ from .tensor import (
     Tensor,
     backward,
     clear_tape,
-    clip,
     concat,
-    dtype_scope,
     erf,
-    get_default_dtype,
-    grad_enabled,
     maximum,
     minimum,
     no_grad,
     round_ste,
-    set_default_dtype,
     softplus,
     tape_size,
 )
@@ -32,9 +27,8 @@ from .adam import Adam, adam_step
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
-    "Tensor", "backward", "clear_tape", "clip", "concat", "dtype_scope", "erf",
-    "get_default_dtype", "grad_enabled", "maximum", "minimum", "no_grad",
-    "round_ste", "set_default_dtype", "softplus", "tape_size",
+    "Tensor", "backward", "clear_tape", "concat", "erf", "maximum", "minimum",
+    "no_grad", "round_ste", "softplus", "tape_size",
     "conv2d", "conv_transpose2d", "gaussian_cdf", "gelu", "layernorm", "linear",
     "softmax",
     "Conv2d", "ConvTranspose2d", "LayerNorm", "Linear", "Module", "ModuleList",

@@ -6,18 +6,21 @@ import numpy as np
 
 from ..errors import HideError
 
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
-              t: int, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-              eps: float = 1e-8):
+              t: int, lr: float):
     """One standard Adam update; returns (theta, m, v) for step index t >= 1."""
     if lr <= 0:
         raise HideError("adam_step requires lr > 0")
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad * grad
-    m_hat = m / (1.0 - beta1 ** t)
-    v_hat = v / (1.0 - beta2 ** t)
-    theta = theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+    m = BETA1 * m + (1.0 - BETA1) * grad
+    v = BETA2 * v + (1.0 - BETA2) * grad * grad
+    m_hat = m / (1.0 - BETA1 ** t)
+    v_hat = v / (1.0 - BETA2 ** t)
+    theta = theta - lr * m_hat / (np.sqrt(v_hat) + EPS)
     return theta, m, v
 
 
@@ -30,12 +33,8 @@ class Adam:
     largest parameter.
     """
 
-    def __init__(self, named_params, lr: float, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, named_params, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._params = {}
         for name, p in named_params:
@@ -59,9 +58,8 @@ class Adam:
         if self.lr <= 0:
             raise HideError("Adam requires lr > 0")
         self.t += 1
-        beta1, beta2 = self.beta1, self.beta2
-        bias1 = 1.0 - beta1 ** self.t
-        bias2 = 1.0 - beta2 ** self.t
+        bias1 = 1.0 - BETA1 ** self.t
+        bias2 = 1.0 - BETA2 ** self.t
         for name in sorted(self._params):
             p = self._params[name]
             if p.grad is None:
@@ -70,20 +68,20 @@ class Adam:
             scratch = self._scratch[p.data.dtype]
             a = scratch[0, :p.data.size].reshape(p.data.shape)
             b = scratch[1, :p.data.size].reshape(p.data.shape)
-            # m = beta1 * m + (1 - beta1) * grad
-            np.multiply(beta1, m, out=m)
-            np.multiply(1.0 - beta1, p.grad, out=a)
+            # m = BETA1 * m + (1 - BETA1) * grad
+            np.multiply(BETA1, m, out=m)
+            np.multiply(1.0 - BETA1, p.grad, out=a)
             np.add(m, a, out=m)
-            # v = beta2 * v + (1 - beta2) * grad * grad
-            np.multiply(beta2, v, out=v)
-            np.multiply(1.0 - beta2, p.grad, out=a)
+            # v = BETA2 * v + (1 - BETA2) * grad * grad
+            np.multiply(BETA2, v, out=v)
+            np.multiply(1.0 - BETA2, p.grad, out=a)
             np.multiply(a, p.grad, out=a)
             np.add(v, a, out=v)
-            # theta = theta - lr * (m / bias1) / (sqrt(v / bias2) + eps)
+            # theta = theta - lr * (m / bias1) / (sqrt(v / bias2) + EPS)
             np.divide(m, bias1, out=a)
             np.multiply(self.lr, a, out=a)
             np.divide(v, bias2, out=b)
             np.sqrt(b, out=b)
-            np.add(b, self.eps, out=b)
+            np.add(b, EPS, out=b)
             np.divide(a, b, out=a)
             np.subtract(p.data, a, out=p.data)

@@ -1,30 +1,29 @@
 """Module/Parameter containers and standard layers.
 
-Parameters are registered by attribute assignment; dotted names are
-assigned once the root module calls ``finalize_names`` so that every
-parameter appears exactly once, under a unique path, in checkpoints
-and optimizer state.
+Parameters are registered by attribute assignment.  ``named_parameters``
+names each one by the dotted path of attribute keys that leads to it;
+checkpoints and optimizer state use those names.  Layers build float64
+parameters; a model casts them to its own dtype once, after building.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
 from ..errors import HideError, ShapeError
 from . import ops
-from .tensor import Tensor, get_default_dtype
+from .tensor import Tensor
 
 
 class Parameter(Tensor):
-    """Trainable tensor with a unique dotted name inside its model."""
+    """Trainable tensor, registered by assignment to a Module attribute."""
 
-    __slots__ = ("name",)
+    __slots__ = ()
 
-    def __init__(self, data, name: Optional[str] = None):
+    def __init__(self, data):
         super().__init__(data, requires_grad=True)
-        self.name = name
 
 
 class Module:
@@ -49,18 +48,6 @@ class Module:
 
     def parameters(self):
         return [p for _, p in self.named_parameters()]
-
-    def finalize_names(self) -> None:
-        seen = set()
-        for name, p in self.named_parameters():
-            if name in seen:
-                raise HideError(f"duplicate parameter name {name!r}")
-            seen.add(name)
-            p.name = name
-
-    def zero_grad(self) -> None:
-        for p in self.parameters():
-            p.grad = None
 
     def parameter_count(self) -> int:
         return sum(p.size for p in self.parameters())
@@ -106,27 +93,28 @@ class ModuleList(Module):
 
 def kaiming_uniform(rng: np.random.Generator, shape, fan_in: int) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
-    return rng.uniform(-bound, bound, size=shape).astype(get_default_dtype())
+    return rng.uniform(-bound, bound, size=shape)
 
 
 class Linear(Module):
-    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator, bias: bool = True):
+    """Bias-free linear map x @ weight."""
+
+    def __init__(self, d_in: int, d_out: int, rng: np.random.Generator):
         super().__init__()
         self.weight = Parameter(kaiming_uniform(rng, (d_in, d_out), d_in))
-        self.bias = Parameter(np.zeros(d_out, dtype=get_default_dtype())) if bias else None
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.linear(x, self.weight, self.bias)
+        return ops.linear(x, self.weight)
 
 
 class Conv2d(Module):
     def __init__(self, c_in: int, c_out: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, padding: int = 0, bias: bool = True):
+                 stride: int = 1, padding: int = 0):
         super().__init__()
         self.stride = stride
         self.padding = padding
         self.weight = Parameter(kaiming_uniform(rng, (c_out, c_in, k, k), c_in * k * k))
-        self.bias = Parameter(np.zeros(c_out, dtype=get_default_dtype())) if bias else None
+        self.bias = Parameter(np.zeros(c_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.conv2d(x, self.weight, self.bias, stride=self.stride, padding=self.padding)
@@ -134,12 +122,12 @@ class Conv2d(Module):
 
 class ConvTranspose2d(Module):
     def __init__(self, c_in: int, c_out: int, k: int, rng: np.random.Generator,
-                 stride: int = 1, padding: int = 0, bias: bool = True):
+                 stride: int = 1, padding: int = 0):
         super().__init__()
         self.stride = stride
         self.padding = padding
         self.weight = Parameter(kaiming_uniform(rng, (c_in, c_out, k, k), c_in * k * k))
-        self.bias = Parameter(np.zeros(c_out, dtype=get_default_dtype())) if bias else None
+        self.bias = Parameter(np.zeros(c_out))
 
     def __call__(self, x: Tensor) -> Tensor:
         return ops.conv_transpose2d(x, self.weight, self.bias,
@@ -147,12 +135,10 @@ class ConvTranspose2d(Module):
 
 
 class LayerNorm(Module):
-    def __init__(self, c: int, eps: float = 1e-5):
+    def __init__(self, c: int):
         super().__init__()
-        self.eps = eps
-        dt = get_default_dtype()
-        self.gain = Parameter(np.ones(c, dtype=dt))
-        self.shift = Parameter(np.zeros(c, dtype=dt))
+        self.gain = Parameter(np.ones(c))
+        self.shift = Parameter(np.zeros(c))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return ops.layernorm(x, self.gain, self.shift, eps=self.eps)
+        return ops.layernorm(x, self.gain, self.shift)

@@ -184,18 +184,19 @@ def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:
     return out
 
 
-def layernorm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-5) -> Tensor:
+LAYERNORM_EPS = 1e-5
+
+
+def layernorm(x: Tensor, gain: Tensor, shift: Tensor) -> Tensor:
     """Normalize the trailing dimension to zero mean / unit variance, then affine."""
     c = x.shape[-1]
     if gain.shape != (c,) or shift.shape != (c,):
         raise ShapeError(f"layernorm affine params must be [{c}], got {gain.shape}/{shift.shape}")
-    if eps <= 0:
-        raise ShapeError("layernorm eps must be positive")
     check_finite(x, "layernorm input")
     mu = T.tmean(x, axis=-1, keepdims=True)
     centered = T.sub(x, mu)
     var = T.tmean(T.mul(centered, centered), axis=-1, keepdims=True)
-    inv = T.power(T.add(var, eps), -0.5)
+    inv = T.power(T.add(var, LAYERNORM_EPS), -0.5)
     return T.add(T.mul(T.mul(centered, inv), gain), shift)
 
 
@@ -212,10 +213,8 @@ def gelu(x: Tensor) -> Tensor:
     return T.mul(x, gaussian_cdf(x))
 
 
-def softmax(x: Tensor, axis: int = -1) -> Tensor:
+def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis with mandatory max-subtraction."""
-    if axis != -1:
-        raise ShapeError("softmax is defined over the last axis")
     shift = np.max(x.data, axis=-1, keepdims=True)
     e = T.exp(T.sub(x, Tensor(shift, dtype=x.dtype)))
     total = T.tsum(e, axis=-1, keepdims=True)

@@ -6,9 +6,11 @@ execution order exactly once and then clears it.  All reductions use
 numpy's fixed sequential order, so identical inputs give bit-identical
 outputs across runs.
 
-Two precision modes exist: float64 (default, used by gradient and
-oracle tests) and float32 (training throughput).  The mode is a global
-setting and is never switched in the middle of a forward pass.
+There is no global precision mode.  An operation's result takes the
+dtype of its first operand, and a tensor built without an explicit
+dtype is float64.  A model's dtype is its parameters' dtype (float64
+for gradient and oracle tests, float32 for training throughput); its
+forward pass follows the dtype of its input.
 """
 
 from __future__ import annotations
@@ -21,34 +23,8 @@ from scipy.special import erf as _erf_np, expit as _sigmoid_np
 
 from ..errors import HideError, ShapeError
 
-_DTYPES = {"float32": np.float32, "float64": np.float64}
-_default_dtype = np.float64
-
 _tape: list = []
 _grad_enabled = True
-
-
-def set_default_dtype(name: str) -> None:
-    global _default_dtype
-    if name not in _DTYPES:
-        raise HideError(f"unknown dtype {name!r}; expected one of {sorted(_DTYPES)}")
-    _default_dtype = _DTYPES[name]
-
-
-def get_default_dtype() -> np.dtype:
-    return np.dtype(_default_dtype)
-
-
-@contextlib.contextmanager
-def dtype_scope(name: str):
-    """Temporarily switch the global precision mode."""
-    global _default_dtype
-    old = _default_dtype
-    set_default_dtype(name)
-    try:
-        yield
-    finally:
-        _default_dtype = old
 
 
 @contextlib.contextmanager
@@ -61,10 +37,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = old
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 def tape_size() -> int:
@@ -81,9 +53,9 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype if dtype is not None else _default_dtype)
+        arr = np.asarray(data, dtype=dtype if dtype is not None else np.float64)
         if arr.dtype not in (np.float32, np.float64):
-            arr = arr.astype(_default_dtype)
+            arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: Optional[np.ndarray] = None
@@ -114,12 +86,6 @@ class Tensor:
     def numpy(self) -> np.ndarray:
         return self.data
 
-    def detach(self) -> "Tensor":
-        return Tensor(self.data, requires_grad=False, dtype=self.data.dtype)
-
-    def zero_grad(self) -> None:
-        self.grad = None
-
     def _accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
             # 0.0 + g in one pass, so -0.0 still becomes +0.0
@@ -139,9 +105,6 @@ class Tensor:
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(_wrap(other, self.dtype), self)
-
     def __mul__(self, other):
         return mul(self, other)
 
@@ -150,17 +113,8 @@ class Tensor:
     def __truediv__(self, other):
         return div(self, other)
 
-    def __rtruediv__(self, other):
-        return div(_wrap(other, self.dtype), self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
     def __pow__(self, exponent):
         return power(self, exponent)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
 
     def __getitem__(self, idx):
         return take(self, idx)
@@ -176,24 +130,9 @@ class Tensor:
             axes = tuple(axes[0])
         return transpose(self, axes)
 
-    # -- reductions / elementwise ---------------------------------------
+    # -- reductions -----------------------------------------------------
     def sum(self, axis=None, keepdims=False) -> "Tensor":
         return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False) -> "Tensor":
-        return tmean(self, axis=axis, keepdims=keepdims)
-
-    def exp(self) -> "Tensor":
-        return exp(self)
-
-    def log(self) -> "Tensor":
-        return log(self)
-
-    def sqrt(self) -> "Tensor":
-        return sqrt(self)
-
-    def tanh(self) -> "Tensor":
-        return tanh(self)
 
 
 def _wrap(x, dtype) -> Tensor:
@@ -225,7 +164,7 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 # ---------------------------------------------------------------------
 
 def add(a, b) -> Tensor:
-    a = _wrap(a, _default_dtype)
+    a = _wrap(a, np.float64)
     b = _wrap(b, a.dtype)
     out = Tensor(a.data + b.data, requires_grad=_should_record(a, b), dtype=a.dtype)
     if out.requires_grad:
@@ -239,7 +178,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a = _wrap(a, _default_dtype)
+    a = _wrap(a, np.float64)
     b = _wrap(b, a.dtype)
     out = Tensor(a.data - b.data, requires_grad=_should_record(a, b), dtype=a.dtype)
     if out.requires_grad:
@@ -253,7 +192,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a = _wrap(a, _default_dtype)
+    a = _wrap(a, np.float64)
     b = _wrap(b, a.dtype)
     out = Tensor(a.data * b.data, requires_grad=_should_record(a, b), dtype=a.dtype)
     if out.requires_grad:
@@ -268,7 +207,7 @@ def mul(a, b) -> Tensor:
 
 
 def div(a, b) -> Tensor:
-    a = _wrap(a, _default_dtype)
+    a = _wrap(a, np.float64)
     b = _wrap(b, a.dtype)
     out = Tensor(a.data / b.data, requires_grad=_should_record(a, b), dtype=a.dtype)
     if out.requires_grad:
@@ -330,16 +269,6 @@ def log(a: Tensor) -> Tensor:
     return out
 
 
-def sqrt(a: Tensor) -> Tensor:
-    out = Tensor(np.sqrt(a.data), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        od = out.data
-        def backward(g):
-            a._accumulate(g * 0.5 / od)
-        _record(out, backward)
-    return out
-
-
 def tanh(a: Tensor) -> Tensor:
     out = Tensor(np.tanh(a.data), requires_grad=_should_record(a), dtype=a.dtype)
     if out.requires_grad:
@@ -367,22 +296,6 @@ def softplus(a: Tensor) -> Tensor:
         ad = a.data
         def backward(g):
             a._accumulate(g * _sigmoid_np(ad))
-        _record(out, backward)
-    return out
-
-
-def clip(a: Tensor, lo=None, hi=None) -> Tensor:
-    """Clamp values; gradient passes only where input lies inside the range."""
-    out = Tensor(np.clip(a.data, lo, hi), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        ad = a.data
-        def backward(g):
-            mask = np.ones_like(ad, dtype=bool)
-            if lo is not None:
-                mask &= ad >= lo
-            if hi is not None:
-                mask &= ad <= hi
-            a._accumulate(g * mask)
         _record(out, backward)
     return out
 

@@ -73,10 +73,11 @@ def likelihood(value: Tensor, mu: Tensor, sigma: Tensor) -> Tensor:
     return T.maximum(T.sub(upper, lower), P_MIN)
 
 
-def snap_scale(sigma: Tensor) -> Tensor:
-    """sigma snapped to the coder's fixed scale table, in its own dtype."""
-    table = coder.SCALE_TABLE[coder.scale_index(sigma.numpy())]
-    return Tensor(table, dtype=sigma.dtype)
+def snap_scale(sigma: Tensor):
+    """(index, snapped sigma): the coder's scale-table row of each sigma,
+    and that table value in sigma's own dtype."""
+    index = coder.scale_index(sigma.numpy())
+    return index, Tensor(coder.SCALE_TABLE[index], dtype=sigma.dtype)
 
 
 def rate_bits(p: Tensor) -> Tensor:
@@ -106,10 +107,9 @@ class ChannelPrior(nn.Module):
 
     def __init__(self, channels: int):
         super().__init__()
-        dt = T.get_default_dtype()
-        self.mean = nn.Parameter(np.zeros(channels, dtype=dt))
+        self.mean = nn.Parameter(np.zeros(channels))
         # softplus(0.55) + SIGMA_MIN ~= 1.0
-        self.scale_raw = nn.Parameter(np.full(channels, 0.55, dtype=dt))
+        self.scale_raw = nn.Parameter(np.full(channels, 0.55))
 
     def sigma(self) -> Tensor:
         return scale_map(self.scale_raw)
@@ -133,6 +133,7 @@ class SliceRecord:
     """Per-slice codec internals, kept for consistency checks and analysis."""
     mu: np.ndarray
     sigma: np.ndarray
+    scale_index: np.ndarray     # coder.SCALE_CDFS row of each symbol
     symbols: np.ndarray
     y_hat: np.ndarray
     y_bar: np.ndarray
@@ -187,17 +188,12 @@ class SliceEntropyModel(nn.Module):
                 num_slices, ctx_channels, dict_dim, n_global + n_detail, heads, rng)
 
     # -- shared per-slice computation (identical on both codec sides) ----
-    def slice_context(self, i: int, hyper_ctx: Tensor, decoded: List[Tensor],
-                      keep_attention: bool = False):
+    def slice_params(self, i: int, hyper_ctx: Tensor, decoded: List[Tensor],
+                     keep_attention: bool = False):
         parts = [hyper_ctx] + decoded
         x_i = self.agg[i](T.concat(parts, axis=1) if len(parts) > 1 else hyper_ctx)
         retrieved = self.dict_ctx.forward_slice(i, x_i, keep_attention=keep_attention)
-        return x_i, retrieved
-
-    def slice_params(self, i: int, hyper_ctx: Tensor, decoded: List[Tensor],
-                     keep_attention: bool = False):
-        _, retrieved = self.slice_context(i, hyper_ctx, decoded, keep_attention)
-        s = T.concat([hyper_ctx] + decoded + [retrieved.fused], axis=1)
+        s = T.concat(parts + [retrieved.fused], axis=1)
         mu, sigma = self.estimators[i](s)
         return mu, sigma, s, retrieved
 
@@ -210,8 +206,9 @@ class SliceEntropyModel(nn.Module):
         """Deterministic round-mode pass shared by encoder and decoder.
 
         When encoding, ``y`` supplies the latents to quantize.  When
-        decoding, ``symbol_source(i, sigma)`` returns the slice's integer
-        symbols decoded from the bitstream.  Every sigma is snapped to the
+        decoding, ``symbol_source(i, index)`` returns the slice's integer
+        symbols, shaped like ``index``, decoded from the bitstream under
+        the scale-table rows ``index``.  Every sigma is snapped to the
         coder's scale table first, so the rate estimate, the records and
         the coded rows all use the same scale.
         """
@@ -229,20 +226,19 @@ class SliceEntropyModel(nn.Module):
         for i in range(self.num_slices):
             mu, sigma, s, retrieved = self.slice_params(
                 i, hyper_ctx, decoded, keep_attention=keep_attention)
-            sigma = snap_scale(sigma)
+            index, sigma = snap_scale(sigma)
             if y_slices is not None:
                 _, m = quantize(y_slices[i], mu, "round")
             else:
-                m = symbol_source(i, sigma.numpy())
-                m = np.asarray(m, dtype=np.int64).reshape(mu.shape)
+                m = symbol_source(i, index)
             y_hat = T.add(Tensor(m.astype(mu.dtype), dtype=mu.dtype), mu)
             r = self.slice_residual(i, s, y_hat)
             y_bar = T.add(y_hat, r)
             p = likelihood(y_hat, mu, sigma)
             bits = float(rate_bits(p).numpy())
             bundle.slices.append(SliceRecord(
-                mu=mu.numpy().copy(), sigma=sigma.numpy().copy(), symbols=m,
-                y_hat=y_hat.numpy().copy(), y_bar=y_bar.numpy().copy(), bits=bits,
+                mu=mu.numpy().copy(), sigma=sigma.numpy().copy(), scale_index=index,
+                symbols=m, y_hat=y_hat.numpy().copy(), y_bar=y_bar.numpy().copy(), bits=bits,
                 attn_global=retrieved.attn_global, attn_detail=retrieved.attn_detail))
             bundle.total_bits += bits
             decoded.append(y_bar)

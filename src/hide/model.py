@@ -30,21 +30,21 @@ class CompressionModel(nn.Module):
         super().__init__()
         self.config = config
         rng = np.random.default_rng(config.seed)
-        # parameters pick up their dtype at construction; the forward path
-        # then follows input dtypes, so the global mode is only scoped here
-        with T.dtype_scope(config.dtype):
-            self.analysis = AnalysisTransform(config.M, rng)
-            self.synthesis = SynthesisTransform(config.M, rng)
-            self.hyper_analysis = HyperAnalysis(config.M, config.hyper_channels, rng)
-            self.hyper_synthesis = HyperSynthesis(config.hyper_channels, config.C_ctx, rng)
-            self.hyper_prior = ChannelPrior(config.hyper_channels)
-            self.entropy = SliceEntropyModel(
-                config.M, config.s, config.C_ctx, 2 * config.C_ctx, rng,
-                use_hierarchical_dict=config.variant in ("hd", "hide"),
-                use_context_aware=config.variant in ("cape", "hide"),
-                dict_dim=config.C_d, n_global=config.N_G, n_detail=config.N_D,
-                heads=config.heads)
-        self.finalize_names()
+        self.analysis = AnalysisTransform(config.M, rng)
+        self.synthesis = SynthesisTransform(config.M, rng)
+        self.hyper_analysis = HyperAnalysis(config.M, config.hyper_channels, rng)
+        self.hyper_synthesis = HyperSynthesis(config.hyper_channels, config.C_ctx, rng)
+        self.hyper_prior = ChannelPrior(config.hyper_channels)
+        self.entropy = SliceEntropyModel(
+            config.M, config.s, config.C_ctx, 2 * config.C_ctx, rng,
+            use_hierarchical_dict=config.variant in ("hd", "hide"),
+            use_context_aware=config.variant in ("cape", "hide"),
+            dict_dim=config.C_d, n_global=config.N_G, n_detail=config.N_D,
+            heads=config.heads)
+        # layers build float64 parameters; cast each once to the model's
+        # dtype, which the forward pass then follows from its input
+        for p in self.parameters():
+            p.data = p.data.astype(self.dtype, copy=False)
 
     # -- helpers ---------------------------------------------------------
     @property

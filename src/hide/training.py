@@ -18,7 +18,7 @@ from .config import ModelConfig
 from .core import backward
 from .core.adam import Adam
 from .data import make_corpus
-from .errors import NonFiniteError, TrainingDiverged
+from .errors import ConfigError, NonFiniteError, TrainingDiverged
 from .model import CompressionModel
 
 CORPUS_SEED = 7777
@@ -60,6 +60,9 @@ def train_model(config: ModelConfig, corpus: Optional[np.ndarray] = None,
     if corpus is None:
         corpus = default_corpus(config)
     corpus = np.asarray(corpus, dtype=model.dtype)
+    if config.batch_size > len(corpus):
+        raise ConfigError(f"batch_size={config.batch_size} exceeds the "
+                          f"{len(corpus)}-patch training corpus")
 
     rng = np.random.default_rng(config.seed + 1)
     opt = Adam(model.named_parameters(), lr=config.lr)

@@ -1,6 +1,7 @@
 """CLI surface: exit codes, round trips, csv plumbing."""
 
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -72,6 +73,21 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("line", [
+        "M=0", "s=0", "hyper_channels=0", "C_d=0", "N_G=0", "N_D=0", "heads=0",
+        "C_ctx=0", "steps=0", "steps=-3", "batch_size=0", "batch_size=300", "seed=-1",
+        "lr_drop_frac=0", "lr_drop_frac=5", "patch_size=0", "patch_size=50",
+        "patch_size=100"])
+    def test_out_of_range_config_value_is_an_error_line(self, tmp_path, capsys, line):
+        bad = tmp_path / "bad.cfg"
+        bad.write_text(TINY_CONFIG + line + "\n")
+        out = tmp_path / "x.hide"
+        assert main(["train", "--config", str(bad), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and line.split("=")[0] in err
+        assert not out.exists()
+
 
 class TestTrainEncodeDecode:
     def test_full_round_trip(self, workspace, capsys):
@@ -126,6 +142,6 @@ class TestSweepCommand:
         for variant in ("baseline", "hide"):
             path = os.path.join(out_dir, f"rd_{variant}.csv")
             assert os.path.exists(path)
-            lines = open(path).read().strip().splitlines()
+            lines = Path(path).read_text().strip().splitlines()
             assert lines[0] == "image,lambda,bpp,psnr"
             assert len(lines) == 1 + 2 * 4    # 2 lambdas x 4 eval images

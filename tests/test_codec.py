@@ -122,6 +122,32 @@ class TestRoundTrip:
             assert rec.sigma.dtype == dtype
             assert np.isin(rec.sigma, table).all()
 
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_records_carry_the_coded_scale_rows(self, image, dtype):
+        model_ = CompressionModel(tiny_config(seed=8, dtype=dtype))
+        enc = codec.encode_image(model_, image)
+        dec = codec.decode_image(model_, enc.data)
+        for a, b in zip(enc.slice_records, dec.slice_records):
+            for rec in (a, b):
+                assert rec.scale_index.shape == rec.symbols.shape
+                assert np.array_equal(rec.scale_index, coder.scale_index(rec.sigma))
+            assert np.array_equal(a.scale_index, b.scale_index)
+
+    def test_one_scale_lookup_per_slice(self, model, image, monkeypatch):
+        calls = []
+        lookup = coder.scale_index
+
+        def counted(sigma):
+            calls.append(np.shape(sigma))
+            return lookup(sigma)
+
+        monkeypatch.setattr(coder, "scale_index", counted)
+        enc = codec.encode_image(model, image)
+        assert len(calls) == model.config.s
+        calls.clear()
+        codec.decode_image(model, enc.data)
+        assert len(calls) == model.config.s
+
     def test_float32_mode_round_trip(self, image):
         model32 = CompressionModel(tiny_config(seed=8, dtype="float32"))
         enc = codec.encode_image(model32, image)

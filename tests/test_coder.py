@@ -147,7 +147,7 @@ class TestBuildCdf:
         assert digest == "fb82a0b3b40cc0ce95d0c8f7c6b99ce83bb3aa3db7c8c066d376c4f283eeb264"
 
     def test_unit_gaussian_center_mass(self):
-        cdf = coder.build_cdf(0.0, 1.0)
+        cdf = coder.build_cdf_batch([0.0], [1.0])[0]
         count0 = cdf[-SYMBOL_MIN + 1] - cdf[-SYMBOL_MIN]
         p0 = math.erf(0.5 / math.sqrt(2.0))
         assert abs(count0 / PROB_TOTAL - p0) <= 2.0 / PROB_TOTAL
@@ -161,7 +161,7 @@ class TestBuildCdf:
         assert (np.diff(cdfs, axis=1) >= 1).all()
 
     def test_minimum_sigma_concentrates(self):
-        cdf = coder.build_cdf(0.0, SIGMA_MIN)
+        cdf = coder.build_cdf_batch([0.0], [SIGMA_MIN])[0]
         count0 = cdf[-SYMBOL_MIN + 1] - cdf[-SYMBOL_MIN]
         assert count0 >= 0.99 * PROB_TOTAL
 
@@ -171,23 +171,18 @@ class TestBuildCdf:
         raw = np.array([-1e30, -30.0, -16.0, 0.0, 30.0, 1e30], dtype=dtype)
         sigma = scale_map(Tensor(raw, dtype=dtype)).numpy()
         cdfs = coder.build_cdf_batch(np.zeros(raw.size), sigma)
-        assert np.array_equal(cdfs[0], coder.build_cdf(0.0, SIGMA_MIN))
-        assert np.array_equal(cdfs[-1], coder.build_cdf(0.0, 64.0))
+        assert np.array_equal(cdfs[0], coder.build_cdf_batch([0.0], [SIGMA_MIN])[0])
+        assert np.array_equal(cdfs[-1], coder.build_cdf_batch([0.0], [64.0])[0])
 
     def test_sigma_out_of_bounds(self):
         with pytest.raises(CoderError):
-            coder.build_cdf(0.0, 0.001)
+            coder.build_cdf_batch([0.0], [0.001])[0]
         with pytest.raises(CoderError):
-            coder.build_cdf(0.0, 100.0)
+            coder.build_cdf_batch([0.0], [100.0])[0]
 
     def test_mu_frac_range_checked(self):
         with pytest.raises(CoderError):
-            coder.build_cdf(1.0, 1.0)
-
-    def test_validate_cdf(self):
-        coder.validate_cdf(coder.build_cdf(0.3, 2.0))
-        with pytest.raises(CoderError):
-            coder.validate_cdf(np.array([0, 5, 5, PROB_TOTAL]))
+            coder.build_cdf_batch([1.0], [1.0])[0]
 
 
 class TestScaleTable:
@@ -313,14 +308,16 @@ class TestRoundTrip:
     def test_bytes_match_symbol_by_symbol_encoder(self, rng, shared):
         n = 500
         cdfs = coder.build_cdf_batch(rng.uniform(0, 1, n), np.exp(rng.uniform(-3, 4, n)))
+        # shared: one row for every symbol, as a one-row table and an all-zero index
+        index = np.zeros(n, dtype=np.int64) if shared else None
         if shared:
-            cdfs = cdfs[0]
+            cdfs = cdfs[:1]
         syms = rng.integers(-8, 9, size=n)
         enc = coder._Encoder()
         for i, sym in enumerate(syms):
-            row = cdfs if shared else cdfs[i]
+            row = cdfs[0] if shared else cdfs[i]
             enc.encode(int(row[sym - SYMBOL_MIN]), int(row[sym - SYMBOL_MIN + 1]))
-        assert coder.encode_symbols(syms, cdfs) == enc.flush()
+        assert coder.encode_symbols(syms, cdfs, index) == enc.flush()
 
     def test_decode_matches_searchsorted_oracle(self, rng):
         n = 3000
@@ -344,9 +341,17 @@ class TestRoundTrip:
                                           oracle_decode_symbols(noise, cdfs))
 
     def test_symbol_out_of_alphabet(self):
-        cdf = coder.build_cdf(0.0, 1.0)
+        cdf = coder.build_cdf_batch([0.0], [1.0])[0]
         with pytest.raises(CoderError):
             coder.encode_symbols([SYMBOL_MAX + 1], cdf[None, :])
+
+    def test_one_d_cdf_refused(self):
+        # a row shared by every symbol is a one-row table and an all-zero index
+        cdf = coder.build_cdf_batch([0.0], [1.0])[0]
+        with pytest.raises(CoderError, match="2-d"):
+            coder.encode_symbols([0], cdf)
+        with pytest.raises(CoderError, match="2-d"):
+            coder.decode_symbols(bytes(5), cdf)
 
 
 class TestRateTightness:
@@ -370,7 +375,7 @@ class TestRateTightness:
         # drops below 2^-10 once the pmf spreads over most of the alphabet.
         for sigma, bound in ((0.25, 2.0 ** -8), (1.0, 2.0 ** -8), (4.0, 2.0 ** -8),
                              (16.0, 2.0 ** -10), (64.0, 2.0 ** -10)):
-            cdf = coder.build_cdf(0.0, sigma)
+            cdf = coder.build_cdf_batch([0.0], [sigma])[0]
             q = np.diff(cdf) / PROB_TOTAL
             edges = np.arange(SYMBOL_MIN, SYMBOL_MAX + 1) + 0.5
             upper = 0.5 * (1 + np.vectorize(math.erf)(edges / (sigma * math.sqrt(2))))

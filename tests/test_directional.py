@@ -1,6 +1,6 @@
 """Directional behavior of briefly-trained models (pinned seeds)."""
 
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,7 +50,7 @@ class TestDefaultSweepStructure:
         assert main(["sweep", "--config", str(cfg),
                      "--variants", "baseline,hide", "--out", out_dir]) == 0
         for variant in ("baseline", "hide"):
-            lines = open(os.path.join(out_dir, f"rd_{variant}.csv")).read().splitlines()
+            lines = Path(out_dir, f"rd_{variant}.csv").read_text().splitlines()
             lams = {ln.split(",")[1] for ln in lines[1:]}
             assert len(lines) == 1 + 6 * 4
             assert len(lams) == 6

@@ -1,5 +1,7 @@
 """Training loop: determinism, schedule, divergence diagnostics."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -46,7 +48,7 @@ class TestTrainLoop:
         log = str(tmp_path / "train.log")
         _, history = train_model(quick_config(), corpus=corpus, log_path=log)
         assert len(history) == 8
-        lines = open(log).read().strip().splitlines()
+        lines = Path(log).read_text().strip().splitlines()
         assert len(lines) == 8
         assert lines[0].startswith("step=1 loss=")
 
@@ -61,14 +63,14 @@ class TestTrainLoop:
         p2 = str(tmp_path / "b.hide")
         train_model(quick_config(), corpus=corpus, out_path=p1)
         train_model(quick_config(), corpus=corpus, out_path=p2)
-        assert open(p1, "rb").read() == open(p2, "rb").read()
+        assert Path(p1).read_bytes() == Path(p2).read_bytes()
 
     def test_different_seed_differs(self, tmp_path, corpus):
         p1 = str(tmp_path / "a.hide")
         p2 = str(tmp_path / "b.hide")
         train_model(quick_config(seed=2), corpus=corpus, out_path=p1)
         train_model(quick_config(seed=3), corpus=corpus, out_path=p2)
-        assert open(p1, "rb").read() != open(p2, "rb").read()
+        assert Path(p1).read_bytes() != Path(p2).read_bytes()
 
     def test_nan_aborts_with_diagnostic(self, corpus):
         cfg = quick_config()
