@@ -176,13 +176,13 @@ class TestBuildCdf:
 
     def test_sigma_out_of_bounds(self):
         with pytest.raises(CoderError):
-            coder.build_cdf_batch([0.0], [0.001])[0]
+            coder.build_cdf_batch([0.0], [0.001])
         with pytest.raises(CoderError):
-            coder.build_cdf_batch([0.0], [100.0])[0]
+            coder.build_cdf_batch([0.0], [100.0])
 
     def test_mu_frac_range_checked(self):
         with pytest.raises(CoderError):
-            coder.build_cdf_batch([1.0], [1.0])[0]
+            coder.build_cdf_batch([1.0], [1.0])
 
 
 class TestScaleTable:
@@ -346,7 +346,7 @@ class TestRoundTrip:
             coder.encode_symbols([SYMBOL_MAX + 1], cdf[None, :])
 
     def test_one_d_cdf_refused(self):
-        # a row shared by every symbol is a one-row table and an all-zero index
+        # no 1-d shared-row form: share a row through a one-row table and an index
         cdf = coder.build_cdf_batch([0.0], [1.0])[0]
         with pytest.raises(CoderError, match="2-d"):
             coder.encode_symbols([0], cdf)
