@@ -13,6 +13,7 @@ keyword.  Variants select which modules a model instantiates:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 
 from .backbone import SPATIAL_FACTOR
@@ -66,6 +67,11 @@ class ModelConfig:
         for key in _SIZE_KEYS:
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be at least 1, got {getattr(self, key)}")
+        for attr in ("lam", "lr"):
+            value = getattr(self, attr)
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(f"{_ATTR_TO_KEY.get(attr, attr)} must be positive "
+                                  f"and finite, got {value}")
         if self.seed < 0:
             raise ConfigError(f"seed must not be negative, got {self.seed}")
         if not 0 < self.lr_drop_frac <= 1:

@@ -87,7 +87,11 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], str]:
             raise FormatError(f"corrupt checkpoint {path}: {e}") from e
         arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
         if name == CONFIG_RECORD:
-            config_text = arr.tobytes().decode("utf-8")
+            try:
+                config_text = arr.tobytes().decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise FormatError(f"corrupt checkpoint {path}: config record "
+                                  f"is not UTF-8 ({e})") from e
         else:
             arrays[name] = arr
     return arrays, config_text

@@ -204,12 +204,16 @@ _SQRT2 = math.sqrt(2.0)
 
 
 def gaussian_cdf(x: Tensor) -> Tensor:
-    """Standard normal CDF via the exact erf form."""
+    """Standard normal CDF, (1 + erf(x / sqrt 2)) / 2.
+
+    float64 uses scipy's erf; float32 uses the engine's rational
+    approximation, within 4.4e-7 of float64 erf (see ``tensor.erf``).
+    """
     return T.mul(T.add(T.erf(T.mul(x, 1.0 / _SQRT2)), 1.0), 0.5)
 
 
 def gelu(x: Tensor) -> Tensor:
-    """x * Phi(x) using exact erf (no tanh approximation)."""
+    """x * Phi(x) with Phi from ``gaussian_cdf`` (erf form, no tanh approximation)."""
     return T.mul(x, gaussian_cdf(x))
 
 

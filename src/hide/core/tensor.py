@@ -11,6 +11,12 @@ dtype of its first operand, and a tensor built without an explicit
 dtype is float64.  A model's dtype is its parameters' dtype (float64
 for gradient and oracle tests, float32 for training throughput); its
 forward pass follows the dtype of its input.
+
+``erf`` is the one operation whose method depends on the dtype: float64
+calls ``scipy.special.erf``, so gradient checks and oracles keep its
+half-ulp accuracy; float32 evaluates a rational approximation in
+cache-sized blocks, within 4.4e-7 of float64 erf and about 3x faster
+than scipy's float32 loop, which computes in double.
 """
 
 from __future__ import annotations
@@ -279,8 +285,51 @@ def tanh(a: Tensor) -> Tensor:
     return out
 
 
+# float32 erf(x) = x * P(x^2) / Q(x^2) on x clipped to [-4, 4]; coefficients
+# highest degree first, in the form of Cody's rational approximations
+# (Math. Comp. 23, 1969).  Largest error against float64 erf: 4.4e-7.
+_ERF_P = np.array([-2.72614225801306e-10, 2.77068142495902e-08, -2.10102402082508e-06,
+                   -5.69250639462346e-05, -7.34990630326855e-04, -2.95459980854025e-03,
+                   -1.60960333262415e-02], dtype=np.float32)
+_ERF_Q = np.array([-1.45660718464996e-05, -2.13374055278905e-04, -1.68282697438203e-03,
+                   -7.37332916720468e-03, -1.42647390514189e-02], dtype=np.float32)
+# elements per block: the scratch buffers stay in cache, which is the
+# whole gain (the same formula on whole arrays is no faster than scipy)
+_ERF_BLOCK = 1 << 15
+
+
+def _horner(coefs: np.ndarray, z: np.ndarray, out: np.ndarray) -> np.ndarray:
+    np.multiply(z, coefs[0], out=out)
+    np.add(out, coefs[1], out=out)
+    for c in coefs[2:]:
+        np.multiply(out, z, out=out)
+        np.add(out, c, out=out)
+    return out
+
+
+def _erf_float32(x: np.ndarray) -> np.ndarray:
+    # np.empty, not empty_like: empty_like keeps a non-contiguous layout,
+    # and then out.reshape(-1) would be a copy that is written and dropped
+    out = np.empty(x.shape, np.float32)
+    src, dst = x.reshape(-1), out.reshape(-1)
+    n = min(src.size, _ERF_BLOCK)
+    xs, z, q = (np.empty(n, np.float32) for _ in range(3))
+    for start in range(0, src.size, _ERF_BLOCK):
+        p = dst[start:start + _ERF_BLOCK]
+        m = p.size
+        xb, zb = xs[:m], z[:m]
+        np.clip(src[start:start + m], -4.0, 4.0, out=xb)
+        np.multiply(xb, xb, out=zb)
+        np.multiply(_horner(_ERF_P, zb, p), xb, out=p)
+        np.divide(p, _horner(_ERF_Q, zb, q[:m]), out=p)
+        np.clip(p, -1.0, 1.0, out=p)
+    return out
+
+
 def erf(a: Tensor) -> Tensor:
-    out = Tensor(_erf_np(a.data), requires_grad=_should_record(a), dtype=a.dtype)
+    """Error function: blocked rational approximation in float32, scipy in float64."""
+    fn = _erf_float32 if a.dtype == np.float32 else _erf_np
+    out = Tensor(fn(a.data), requires_grad=_should_record(a), dtype=a.dtype)
     if out.requires_grad:
         ad = a.data
         coef = 2.0 / np.sqrt(np.pi)

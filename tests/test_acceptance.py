@@ -367,6 +367,7 @@ class TestCriterion7:
         report(7, "delta-rate oracle")
 
 
+@pytest.mark.slow
 class TestCriterion8:
     def test_criterion_08_training_sanity(self):
         t0 = time.monotonic()
@@ -383,6 +384,7 @@ class TestCriterion8:
                f"[loss {start:.2f} -> {end:.2f}, {elapsed:.0f}s]")
 
 
+@pytest.mark.slow
 class TestCriterion9:
     def test_criterion_09_directional_ablation(self, tmp_path):
         from hide.cli import sweep

@@ -65,6 +65,19 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
+    def test_non_utf8_checkpoint_config_is_an_error_line(self, tmp_path, workspace, capsys):
+        _, _, img_path = workspace
+        ckpt = tmp_path / "m.hide"
+        CompressionModel(parse_config_text(TINY_CONFIG)).save(str(ckpt))
+        blob = ckpt.read_bytes()
+        assert blob.count(b"variant=") == 1
+        ckpt.write_bytes(blob.replace(b"variant=", b"\xffariant="))
+        out = tmp_path / "o.hidb"
+        assert main(["encode", img_path, "--checkpoint", str(ckpt), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and str(ckpt) in err
+        assert not out.exists()
 
     def test_bad_config_value_is_an_error_line(self, tmp_path, capsys):
         bad = tmp_path / "bad.cfg"
@@ -77,7 +90,8 @@ class TestUsageErrors:
         "M=0", "s=0", "hyper_channels=0", "C_d=0", "N_G=0", "N_D=0", "heads=0",
         "C_ctx=0", "steps=0", "steps=-3", "batch_size=0", "batch_size=300", "seed=-1",
         "lr_drop_frac=0", "lr_drop_frac=5", "patch_size=0", "patch_size=50",
-        "patch_size=100"])
+        "patch_size=100", "lambda=0", "lambda=-0.01", "lambda=nan", "lambda=inf",
+        "lr=0", "lr=-1e-4", "lr=nan", "lr=inf"])
     def test_out_of_range_config_value_is_an_error_line(self, tmp_path, capsys, line):
         bad = tmp_path / "bad.cfg"
         bad.write_text(TINY_CONFIG + line + "\n")

@@ -1,5 +1,6 @@
 """End-to-end codec: shapes, round trips, no-drift, file format."""
 
+import dataclasses
 import hashlib
 import math
 import struct
@@ -245,6 +246,15 @@ class TestCheckpoint:
         with open(path, "rb") as fh:
             assert fh.read() == blob
 
+    def test_non_utf8_config_record_is_format_error(self, tmp_path, model):
+        from hide.core.checkpoint import load_checkpoint
+        path = tmp_path / "model.hide"
+        model.save(str(path))
+        path.write_bytes(path.read_bytes().replace(b"variant=", b"\xffariant="))
+        with pytest.raises(FormatError, match="config record is not UTF-8") as info:
+            load_checkpoint(str(path))
+        assert str(path) in str(info.value)
+
     def test_variant_isolation_by_parameter_names(self):
         names = {}
         for variant in ("baseline", "hd", "cape", "hide"):
@@ -310,6 +320,15 @@ class TestConfig:
         assert ModelConfig(variant="HiDE", M=8, s=2).variant == "hide"
         with pytest.raises(ConfigError):
             ModelConfig(variant="nope")
+
+    @pytest.mark.parametrize("key", ["lam", "lr"])
+    @pytest.mark.parametrize("value", [0.0, -1e-3, math.nan, math.inf, -math.inf])
+    def test_lambda_and_lr_must_be_positive_and_finite(self, key, value):
+        name = "lambda" if key == "lam" else key
+        with pytest.raises(ConfigError, match=f"^{name} must be positive"):
+            tiny_config(**{key: value})
+        with pytest.raises(ConfigError, match=f"^{name} must be positive"):
+            dataclasses.replace(tiny_config(), **{key: value})
 
     def test_hash_tracks_content(self):
         a = tiny_config()

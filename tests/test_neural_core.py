@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import erf as scipy_erf
 
 import hide.core as C
 from hide.core import Tensor, backward
+from hide.core.tensor import _ERF_BLOCK
 from hide.errors import HideError, NonFiniteError, ShapeError
 
 from conftest import check_gradients
@@ -265,6 +267,48 @@ class TestGelu:
     def test_gradients(self, rng):
         x = rng.standard_normal((4, 4))
         check_gradients(lambda ts: C.gelu(ts[0]).sum(), [x])
+
+
+class TestErf:
+    """float32 erf is a blocked rational approximation; float64 is scipy's."""
+
+    @staticmethod
+    def erf32(x):
+        return C.erf(Tensor(x, dtype=np.float32)).numpy()
+
+    def test_float32_error_bound_on_dense_grid(self):
+        x = np.linspace(-8.0, 8.0, 2_000_001, dtype=np.float32)
+        out = self.erf32(x)
+        assert out.dtype == np.float32
+        err = np.abs(out.astype(np.float64) - scipy_erf(x.astype(np.float64)))
+        assert err.max() <= 5e-7
+        assert np.array_equal(self.erf32(-x), -out)
+        assert np.abs(out).max() <= 1.0
+
+    def test_float32_infinities_and_nan(self):
+        out = self.erf32([np.inf, -np.inf, np.nan])
+        assert out[0] == 1.0 and out[1] == -1.0 and np.isnan(out[2])
+
+    def test_float32_strided_input_equals_contiguous(self, rng):
+        x = rng.standard_normal((6, 40, 50)).astype(np.float32) * 3
+        view = x.transpose(2, 0, 1)[::3, :, 1::2]
+        assert not view.flags.c_contiguous
+        assert np.array_equal(self.erf32(view), self.erf32(np.ascontiguousarray(view)))
+
+    @pytest.mark.parametrize("n", [0, 1, _ERF_BLOCK - 1, _ERF_BLOCK, _ERF_BLOCK + 1])
+    def test_float32_sizes_around_the_block(self, rng, n):
+        x = rng.uniform(-5, 5, n).astype(np.float32)
+        out = self.erf32(x)
+        assert out.shape == (n,)
+        np.testing.assert_allclose(out, scipy_erf(x.astype(np.float64)), rtol=0, atol=5e-7)
+
+    def test_float32_scalar(self):
+        out = self.erf32(np.float32(0.5))
+        assert out.shape == () and abs(float(out) - math.erf(0.5)) <= 5e-7
+
+    def test_float64_is_scipy_bit_for_bit(self, rng):
+        x = np.concatenate([rng.standard_normal(10_000) * 4, [0.0, -0.0, np.inf, -np.inf]])
+        assert np.array_equal(C.erf(Tensor(x)).numpy(), scipy_erf(x))
 
 
 class TestSoftmax:
