@@ -18,7 +18,7 @@ from . import analysis, codec, ppm
 from .config import ModelConfig, load_config, normalize_variant
 from .constants import LAMBDA_SET
 from .data import make_eval_images
-from .errors import HideError
+from .errors import ConfigError, HideError
 from .metrics import (
     RDRecord,
     bd_rate_records,
@@ -181,6 +181,18 @@ def sweep(config: ModelConfig, variants: List[str], lambdas: List[float],
     return csv_paths
 
 
+def _parse_lambdas(text: str, config: ModelConfig) -> List[float]:
+    """The --lambdas values, each checked as the config checks lambda, so
+    that a bad value fails before the sweep trains anything."""
+    lambdas = []
+    for value in text.split(","):
+        try:
+            lambdas.append(dataclasses.replace(config, lam=float(value)).lam)
+        except (ValueError, ConfigError):
+            raise ConfigError(f"--lambdas: {value!r} is not a positive finite number") from None
+    return lambdas
+
+
 def _cmd_sweep(args) -> int:
     config = _load_base_config(args.config)
     if args.seed is not None:
@@ -188,8 +200,7 @@ def _cmd_sweep(args) -> int:
     if args.steps is not None:
         config = dataclasses.replace(config, steps=args.steps)
     variants = [normalize_variant(v) for v in args.variants.split(",") if v]
-    lambdas = ([float(v) for v in args.lambdas.split(",")]
-               if args.lambdas else list(LAMBDA_SET))
+    lambdas = _parse_lambdas(args.lambdas, config) if args.lambdas else list(LAMBDA_SET)
     csv_paths = sweep(config, variants, lambdas, args.out, progress=True)
     for variant, path in csv_paths.items():
         print(f"{variant}: {path}")

@@ -125,6 +125,14 @@ def encode_image(model: CompressionModel, img: np.ndarray) -> EncodeResult:
     )
 
 
+def _decode_stream(name: str, data: bytes, cdfs: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """coder.decode_symbols, with a DecodeError that names the stream."""
+    try:
+        return coder.decode_symbols(data, cdfs, index)
+    except DecodeError as err:
+        raise DecodeError(f"{name}: {err}") from None
+
+
 def decode_image(model: CompressionModel, data: bytes) -> DecodeResult:
     if len(data) < _HEADER.size:
         raise DecodeError(f"file of {len(data)} bytes is shorter than the header")
@@ -159,12 +167,13 @@ def decode_image(model: CompressionModel, data: bytes) -> DecodeResult:
     zh, zw = pad_h // SPATIAL_FACTOR, pad_w // SPATIAL_FACTOR
 
     z_rows, z_index = _hyper_cdf_rows(model, zh * zw)
-    z_sym = coder.decode_symbols(streams[0], z_rows, z_index).reshape(
+    z_sym = _decode_stream("hyper stream", streams[0], z_rows, z_index).reshape(
         1, model.config.hyper_channels, zh, zw)
 
     def symbol_source(i: int, index: np.ndarray) -> np.ndarray:
-        return coder.decode_symbols(streams[1 + i], coder.SCALE_CDFS,
-                                    index.reshape(-1)).reshape(index.shape)
+        name = f"slice {i + 1} of {model.config.s}"
+        return _decode_stream(name, streams[1 + i], coder.SCALE_CDFS,
+                              index.reshape(-1)).reshape(index.shape)
 
     fwd = model.decode_forward(z_sym, symbol_source)
     recon_padded = fwd["x_hat"][0]

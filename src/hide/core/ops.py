@@ -11,6 +11,32 @@ left: conv2d computes W @ cols forward, W.T @ g for the input gradient
 and g @ cols.T for the kernel gradient; conv_transpose2d computes
 K.T @ x forward with K of shape [Cin, Cout*k*k].  _col2im adds the
 contiguous plane cols[:, i, j] back for each of the k*k offsets.
+
+A conv2d that records no tape node (every codec path runs under
+no_grad) works in bands of output rows, counted over the B*H' rows of
+the batch.  Each band copies its patches into one buffer of about
+_CONV_BAND_BYTES, which stays in cache, and runs one GEMM into its
+columns of the [C_out, B*H'*W'] output.  One patch matrix instead makes
+a map such as 24 channels at 256x384 write and read 85 MB through DRAM.
+A map whose patch matrix fits the budget runs as one band.
+
+The bands give the same bits as one GEMM.  Each output element is the
+same sum over the same K terms, and OpenBLAS keeps its order whatever N
+is, as long as both products run the same kernel on the same threads.
+That held for every band of at least _BAND_MIN_COLS columns and more
+than _BAND_MIN_MACS multiply-adds, with every band but the last a
+multiple of _BAND_ALIGN columns, on float32 and float64 at 1 and 2
+threads.  Outside those limits sums can differ in the last bit:
+products of 100**3 multiply-adds or fewer take a small-matrix kernel,
+a product a few columns wide runs on one thread, whose K blocking
+differs from the threaded driver's, and float64 runs a column count
+that is not a multiple of 8 through an edge kernel.  numpy computes a
+one-row product (C_out = 1) with gemv.  A conv outside the limits runs
+as one band.
+
+A conv that records a tape node keeps its single patch matrix, since
+the kernel gradient g @ cols.T reads all of it again in backward, so
+training computes what it computed before.
 """
 
 from __future__ import annotations
@@ -30,11 +56,15 @@ def check_finite(t: Tensor, label: str) -> None:
         raise NonFiniteError(f"non-finite values in {label}")
 
 
+def _patches(x_pad: np.ndarray, k: int, stride: int) -> np.ndarray:
+    """[B,C,Hp,Wp] -> [C, k, k, B, H', W'] strided view of the patches."""
+    windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(2, 3))
+    return windows[:, :, ::stride, ::stride].transpose(1, 4, 5, 0, 2, 3)
+
+
 def _im2col(x_pad: np.ndarray, k: int, stride: int) -> np.ndarray:
     """[B,C,Hp,Wp] -> [C, k, k, B, H', W'] patch array (contiguous)."""
-    windows = np.lib.stride_tricks.sliding_window_view(x_pad, (k, k), axis=(2, 3))
-    windows = windows[:, :, ::stride, ::stride]
-    return np.ascontiguousarray(windows.transpose(1, 4, 5, 0, 2, 3))
+    return np.ascontiguousarray(_patches(x_pad, k, stride))
 
 
 def _col2im(cols: np.ndarray, pad_shape, k: int, stride: int) -> np.ndarray:
@@ -48,6 +78,47 @@ def _col2im(cols: np.ndarray, pad_shape, k: int, stride: int) -> np.ndarray:
             buf[:, :, i:i + stride * (h_out - 1) + 1:stride,
                 j:j + stride * (w_out - 1) + 1:stride] += cols[:, i, j]
     return buf.transpose(1, 0, 2, 3)
+
+
+_CONV_BAND_BYTES = 4 << 20   # patch bytes per band: about one core's L2 cache
+_BAND_ALIGN = 16             # every band but the last spans a multiple of this many columns
+_BAND_MIN_COLS = 256         # no band GEMM is narrower than this
+_BAND_MIN_MACS = 100 ** 3    # nor does it take this many multiply-adds or fewer
+
+
+def _band_rows(c_out: int, n_k: int, rows: int, w_out: int, itemsize: int) -> int:
+    """Output rows per band of a no-grad conv whose patch matrix is
+    [n_k, rows*w_out], or 0 for one patch matrix (see the module
+    docstring for the limits)."""
+    step = _BAND_ALIGN // math.gcd(w_out, _BAND_ALIGN)
+    band = max(_CONV_BAND_BYTES // (n_k * w_out * itemsize), -(-_BAND_MIN_COLS // w_out))
+    band = -(-band // step) * step   # rounded up to whole steps
+    narrowest = (rows % band or band) * w_out
+    if (band >= rows or c_out < 2 or rows * w_out % _BAND_ALIGN or narrowest < _BAND_MIN_COLS
+            or c_out * n_k * narrowest <= _BAND_MIN_MACS):
+        return 0
+    return band
+
+
+def _conv_bands(x_pad: np.ndarray, w_mat: np.ndarray, k: int, stride: int,
+                h_out: int, w_out: int, band: int) -> np.ndarray:
+    """W @ cols as one GEMM per band of `band` output rows, counted over
+    the B*H' rows of the batch.  Each band's patches are copied into one
+    reused buffer, and its GEMM writes its columns of the [C_out, B*H'*W']
+    product."""
+    b, c_in = x_pad.shape[:2]
+    n_k = w_mat.shape[1]
+    windows = _patches(x_pad, k, stride)
+    buf = np.empty(n_k * band * w_out, dtype=x_pad.dtype)
+    out = np.empty((w_mat.shape[0], b * h_out * w_out), dtype=x_pad.dtype)
+    for r0 in range(0, b * h_out, band):
+        r1 = min(r0 + band, b * h_out)
+        cols = buf[:n_k * (r1 - r0) * w_out].reshape(c_in, k, k, r1 - r0, w_out)
+        for i in range(r0 // h_out, (r1 - 1) // h_out + 1):
+            lo, hi = max(r0, i * h_out), min(r1, (i + 1) * h_out)
+            cols[:, :, :, lo - r0:hi - r0] = windows[:, :, :, i, lo - i * h_out:hi - i * h_out]
+        np.matmul(w_mat, cols.reshape(n_k, -1), out=out[:, r0 * w_out:r1 * w_out])
+    return out
 
 
 def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
@@ -77,15 +148,20 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     x_pad = x.data
     if padding:
         x_pad = np.pad(x_pad, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
-    cols = _im2col(x_pad, k, stride).reshape(c_in * k * k, b * h_out * w_out)
     w_mat = kernel.data.reshape(c_out, c_in * k * k)
-    out_mat = w_mat @ cols
+    inputs = (x, kernel) if bias is None else (x, kernel, bias)
+    record = T._should_record(*inputs)
+    band = 0 if record else _band_rows(c_out, c_in * k * k, b * h_out, w_out, x_pad.itemsize)
+    if band:
+        out_mat = _conv_bands(x_pad, w_mat, k, stride, h_out, w_out, band)
+    else:
+        cols = _im2col(x_pad, k, stride).reshape(c_in * k * k, b * h_out * w_out)
+        out_mat = w_mat @ cols
     if bias is not None:
         out_mat += bias.data[:, None]
     out_data = out_mat.reshape(c_out, b, h_out, w_out).transpose(1, 0, 2, 3)
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    out = Tensor(out_data, requires_grad=T._should_record(*inputs), dtype=x.dtype)
+    out = Tensor(out_data, requires_grad=record, dtype=x.dtype)
     if out.requires_grad:
         pad_shape = x_pad.shape
 

@@ -63,7 +63,14 @@ def read_rd_csv(path: str) -> List[RDRecord]:
         if header != CSV_HEADER:
             raise MetricsError(f"{path}: expected header {CSV_HEADER}, got {header}")
         for row in reader:
-            out.append(RDRecord(row[0], float(row[1]), float(row[2]), float(row[3])))
+            if len(row) != len(CSV_HEADER):
+                raise MetricsError(f"{path} line {reader.line_num}: expected "
+                                   f"{len(CSV_HEADER)} fields, got {len(row)}")
+            try:
+                out.append(RDRecord(row[0], float(row[1]), float(row[2]), float(row[3])))
+            except ValueError:
+                raise MetricsError(f"{path} line {reader.line_num}: lambda, bpp and psnr "
+                                   f"must be numbers, got {row[1:]}") from None
     return out
 
 

@@ -102,6 +102,25 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and line.split("=")[0] in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("lambdas, bad", [("abc", "'abc'"), (",", "''"),
+                                              ("0.01,,0.02", "''"), ("0.01,-1", "'-1'"),
+                                              ("nan", "'nan'")])
+    def test_bad_sweep_lambda_is_an_error_line(self, tmp_path, capsys, lambdas, bad):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--lambdas", lambdas, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and f"--lambdas: {bad} " in err
+        assert not out.exists()
+
+    def test_bad_rd_csv_row_is_an_error_line(self, tmp_path, capsys):
+        path = tmp_path / "rd.csv"
+        path.write_text("image,lambda,bpp,psnr\nimg0,0.01,abc,32.0\n")
+        assert main(["bdrate", str(path), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and f"{path} line 2" in err
+
 
 class TestTrainEncodeDecode:
     def test_full_round_trip(self, workspace, capsys):

@@ -103,6 +103,23 @@ class TestRoundTrip:
         with pytest.raises(DecodeError):
             codec.decode_image(model, enc.data[:10])
 
+    def test_truncated_stream_is_named(self, image):
+        model_ = CompressionModel(tiny_config(s=4))
+        data = codec.encode_image(model_, image).data
+        pos, streams = codec._HEADER.size, []
+        while pos < len(data):
+            (n,) = struct.unpack_from("<I", data, pos)
+            streams.append(data[pos + 4:pos + 4 + n])
+            pos += 4 + n
+        names = ["hyper stream"] + [f"slice {i} of 4" for i in range(1, 5)]
+        assert len(streams) == len(names)
+        for j, name in enumerate(names):
+            parts = [b"\0" * 5 if i == j else part for i, part in enumerate(streams)]
+            blob = data[:codec._HEADER.size] + b"".join(
+                struct.pack("<I", len(part)) + part for part in parts)
+            with pytest.raises(DecodeError, match=f"^{name}: bitstream exhausted"):
+                codec.decode_image(model_, blob)
+
     def test_bad_magic_rejected(self, model, image):
         enc = codec.encode_image(model, image)
         with pytest.raises(FormatError):

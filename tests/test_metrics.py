@@ -125,3 +125,12 @@ class TestRdCsv:
             fh.write("a,b\n1,2\n")
         with pytest.raises(MetricsError):
             read_rd_csv(path)
+
+    @pytest.mark.parametrize("row", ["img1,abc,0.5,33.0", "img1,0.01,,33.0",
+                                     "img1,0.01,0.5,x", "img1,0.01,0.5", "img1"])
+    def test_bad_row_names_path_and_line(self, tmp_path, row):
+        path = str(tmp_path / "bad.csv")
+        with open(path, "w") as fh:
+            fh.write("image,lambda,bpp,psnr\nimg0,0.01,0.4,32.0\n" + row + "\n")
+        with pytest.raises(MetricsError, match=f"{path} line 3: "):
+            read_rd_csv(path)

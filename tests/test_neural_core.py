@@ -8,7 +8,7 @@ import pytest
 from scipy.special import erf as scipy_erf
 
 import hide.core as C
-from hide.core import Tensor, backward
+from hide.core import Tensor, backward, ops
 from hide.core.tensor import _ERF_BLOCK
 from hide.errors import HideError, NonFiniteError, ShapeError
 
@@ -153,6 +153,64 @@ class TestConv2d:
         x[0, 0, 1, 1] = np.nan
         with pytest.raises(NonFiniteError):
             C.conv2d(Tensor(x), Tensor(np.ones((1, 1, 1, 1))), None)
+
+
+def _spy_bands(monkeypatch):
+    calls = []
+    real = ops._conv_bands
+
+    def spy(*args):
+        calls.append(args[-1])
+        return real(*args)
+    monkeypatch.setattr(ops, "_conv_bands", spy)
+    return calls
+
+
+class TestConv2dBands:
+    """A no_grad conv2d runs in bands of output rows and must give the
+    bits of the recorded conv, which keeps one patch matrix."""
+
+    C_IN, C_OUT, W_OUT, BAND = 32, 64, 64, 12
+    ROWS = 3 * BAND + 8     # output rows over the batch: 3 full bands and a short one
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("batch", [1, 2])
+    @pytest.mark.parametrize("k", [1, 3, 7])
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_bands_equal_one_patch_matrix(self, rng, monkeypatch, dtype, stride, batch, k,
+                                          with_bias):
+        n_k = self.C_IN * k * k
+        itemsize = np.dtype(dtype).itemsize
+        monkeypatch.setattr(ops, "_CONV_BAND_BYTES", self.BAND * n_k * self.W_OUT * itemsize)
+        assert ops._band_rows(self.C_OUT, n_k, self.ROWS, self.W_OUT, itemsize) == self.BAND
+        h_out = self.ROWS // batch
+        x = Tensor(rng.standard_normal((batch, self.C_IN, h_out * stride, self.W_OUT * stride)),
+                   requires_grad=True, dtype=dtype)
+        w = Tensor(rng.standard_normal((self.C_OUT, self.C_IN, k, k)), requires_grad=True,
+                   dtype=dtype)
+        b = Tensor(rng.standard_normal(self.C_OUT), requires_grad=True,
+                   dtype=dtype) if with_bias else None
+        calls = _spy_bands(monkeypatch)
+        with C.no_grad():
+            banded = C.conv2d(x, w, b, stride=stride, padding=k // 2).numpy()
+        assert calls == [self.BAND]
+        recorded = C.conv2d(x, w, b, stride=stride, padding=k // 2)
+        assert calls == [self.BAND] and recorded.requires_grad
+        assert banded.dtype == dtype and banded.shape == (batch, self.C_OUT, h_out, self.W_OUT)
+        assert np.array_equal(banded, recorded.numpy())
+
+    @pytest.mark.parametrize("c_out, h, w", [(1, 48, 64), (8, 47, 63)])
+    def test_outside_the_limits_runs_one_patch_matrix(self, rng, monkeypatch, c_out, h, w):
+        # one output channel (numpy's gemv) and 47x63 output columns
+        # (not a multiple of _BAND_ALIGN) both keep one patch matrix
+        monkeypatch.setattr(ops, "_CONV_BAND_BYTES", 1 << 12)
+        x = Tensor(rng.standard_normal((1, 32, h, w)))
+        kernel = Tensor(rng.standard_normal((c_out, 32, 3, 3)))
+        calls = _spy_bands(monkeypatch)
+        with C.no_grad():
+            C.conv2d(x, kernel, None, padding=1)
+        assert calls == []
 
 
 class TestConvTranspose2d:
