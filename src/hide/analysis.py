@@ -11,6 +11,7 @@ position; their total equals the model's rate estimate for the image.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -18,6 +19,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import ppm
+from .core.checkpoint import MAX_RANK
 from .core.tensor import Tensor
 from .entropy import likelihood
 from .errors import FormatError, HideError
@@ -49,10 +51,12 @@ def load_matrix(path: str) -> np.ndarray:
         if len(header) != rank + 1:
             raise FormatError(f"{path}: header rank {rank} but {len(header) - 1} dims")
         shape = tuple(header[1:])
-        count = int(np.prod(shape)) if shape else 1
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
+        if rank > MAX_RANK or min(shape, default=0) < 0:
+            raise FormatError(f"{path}: bad matrix shape {shape}")
+        nbytes = 4 * math.prod(shape)
+        if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
             raise FormatError(f"{path}: truncated matrix payload")
+        payload = fh.read(nbytes)
     return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
 
 

@@ -199,7 +199,7 @@ def _cmd_sweep(args) -> int:
         config = dataclasses.replace(config, seed=args.seed)
     if args.steps is not None:
         config = dataclasses.replace(config, steps=args.steps)
-    variants = [normalize_variant(v) for v in args.variants.split(",") if v]
+    variants = [normalize_variant(v) for v in args.variants.split(",")]
     lambdas = _parse_lambdas(args.lambdas, config) if args.lambdas else list(LAMBDA_SET)
     csv_paths = sweep(config, variants, lambdas, args.out, progress=True)
     for variant, path in csv_paths.items():

@@ -1,4 +1,12 @@
-"""Adam optimizer with bias-corrected moments."""
+"""Adam optimizer with bias-corrected moments.
+
+Adam.step makes 14 ufunc passes per parameter.  It runs them on blocks
+of BLOCK elements of the flattened parameter, its gradient and its two
+moments, with temporaries in two block-sized scratch rows per dtype.
+Each block stays in cache across its 14 passes, so every array is read
+from memory once per step rather than once per pass.  The passes are
+elementwise, so the blocks give the bits of whole-array passes.
+"""
 
 from __future__ import annotations
 
@@ -9,6 +17,7 @@ from ..errors import HideError
 BETA1 = 0.9
 BETA2 = 0.999
 EPS = 1e-8
+BLOCK = 1 << 15   # elements per block of Adam.step
 
 
 def adam_step(theta: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
@@ -28,9 +37,8 @@ class Adam:
     """Optimizer over a model's named parameters, updated in sorted-name order.
 
     step() updates parameters and moments in place with the arithmetic of
-    adam_step, operation for operation, so both give identical bits; its
-    temporaries live in one scratch buffer per dtype, sized for the
-    largest parameter.
+    adam_step, operation for operation, so both give identical bits; it
+    works in blocks of BLOCK elements (see the module docstring).
     """
 
     def __init__(self, named_params, lr: float):
@@ -45,10 +53,8 @@ class Adam:
             name: (np.zeros_like(p.data), np.zeros_like(p.data))
             for name, p in self._params.items()
         }
-        sizes = {}
-        for p in self._params.values():
-            sizes[p.data.dtype] = max(sizes.get(p.data.dtype, 0), p.data.size)
-        self._scratch = {dtype: np.empty((2, size), dtype=dtype) for dtype, size in sizes.items()}
+        self._scratch = {p.data.dtype: np.empty((2, BLOCK), dtype=p.data.dtype)
+                         for p in self._params.values()}
 
     def zero_grad(self) -> None:
         for p in self._params.values():
@@ -64,24 +70,27 @@ class Adam:
             p = self._params[name]
             if p.grad is None:
                 continue
-            m, v = self._state[name]
+            m, v = (s.reshape(-1, copy=False) for s in self._state[name])
+            theta = p.data.reshape(-1, copy=False)
+            grad = p.grad.reshape(-1)
             scratch = self._scratch[p.data.dtype]
-            a = scratch[0, :p.data.size].reshape(p.data.shape)
-            b = scratch[1, :p.data.size].reshape(p.data.shape)
-            # m = BETA1 * m + (1 - BETA1) * grad
-            np.multiply(BETA1, m, out=m)
-            np.multiply(1.0 - BETA1, p.grad, out=a)
-            np.add(m, a, out=m)
-            # v = BETA2 * v + (1 - BETA2) * grad * grad
-            np.multiply(BETA2, v, out=v)
-            np.multiply(1.0 - BETA2, p.grad, out=a)
-            np.multiply(a, p.grad, out=a)
-            np.add(v, a, out=v)
-            # theta = theta - lr * (m / bias1) / (sqrt(v / bias2) + EPS)
-            np.divide(m, bias1, out=a)
-            np.multiply(self.lr, a, out=a)
-            np.divide(v, bias2, out=b)
-            np.sqrt(b, out=b)
-            np.add(b, EPS, out=b)
-            np.divide(a, b, out=a)
-            np.subtract(p.data, a, out=p.data)
+            for lo in range(0, theta.size, BLOCK):
+                t, g, mb, vb = (arr[lo:lo + BLOCK] for arr in (theta, grad, m, v))
+                a, b = scratch[:, :t.size]
+                # m = BETA1 * m + (1 - BETA1) * grad
+                np.multiply(BETA1, mb, out=mb)
+                np.multiply(1.0 - BETA1, g, out=a)
+                np.add(mb, a, out=mb)
+                # v = BETA2 * v + (1 - BETA2) * grad * grad
+                np.multiply(BETA2, vb, out=vb)
+                np.multiply(1.0 - BETA2, g, out=a)
+                np.multiply(a, g, out=a)
+                np.add(vb, a, out=vb)
+                # theta = theta - lr * (m / bias1) / (sqrt(v / bias2) + EPS)
+                np.divide(mb, bias1, out=a)
+                np.multiply(self.lr, a, out=a)
+                np.divide(vb, bias2, out=b)
+                np.sqrt(b, out=b)
+                np.add(b, EPS, out=b)
+                np.divide(a, b, out=a)
+                np.subtract(t, a, out=t)

@@ -18,6 +18,7 @@ name "__config__" holding the flat key=value text.
 
 from __future__ import annotations
 
+import math
 import struct
 from typing import Dict, Tuple
 
@@ -28,6 +29,7 @@ from ..errors import FormatError
 MAGIC = b"HIDE"
 VERSION = 1
 CONFIG_RECORD = "__config__"
+MAX_RANK = 64   # the largest rank of a numpy array
 
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1, np.dtype(np.uint8): 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
@@ -74,11 +76,12 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], str]:
             pos += name_len
             code, rank = struct.unpack_from("<BB", blob, pos)
             pos += 2
+            if rank > MAX_RANK:
+                raise FormatError(f"corrupt checkpoint {path}: record {name!r} has rank {rank}")
             shape = struct.unpack_from(f"<{rank}I", blob, pos) if rank else ()
             pos += 4 * rank
             dtype = _CODE_DTYPES[code]
-            count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-            nbytes = count * dtype.itemsize
+            nbytes = math.prod(shape) * dtype.itemsize
             payload = blob[pos:pos + nbytes]
             if len(payload) != nbytes:
                 raise FormatError(f"truncated checkpoint record {name!r}")

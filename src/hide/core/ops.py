@@ -9,8 +9,20 @@ map into a contiguous [C, k, k, B, H', W'] array, used as the matrix
 cols of shape [C*k*k, B*H'*W'].  Every GEMM keeps the weight on the
 left: conv2d computes W @ cols forward, W.T @ g for the input gradient
 and g @ cols.T for the kernel gradient; conv_transpose2d computes
-K.T @ x forward with K of shape [Cin, Cout*k*k].  _col2im adds the
-contiguous plane cols[:, i, j] back for each of the k*k offsets.
+K.T @ x forward with K of shape [Cin, Cout*k*k].
+
+_col2im scatters the patches back with one add per kernel offset (i, j),
+in that order, into a zeroed buffer, so every element is +0 plus its
+taps in the same order in either of its two layouts.  It adds the
+contiguous plane cols[:, i, j] into a [C, B, Hp, Wp] buffer, whose rows
+are only W' values long.  A stride-1 scatter at most _NARROW_COLS
+output columns wide, such as the estimator branches on 4x4 training
+latents, first copies the patches to [k, k, H', W', C, B] and adds each
+tap into a [Hp, Wp, C, B] buffer, so each add runs over rows of C*B
+values.  On a 2-core SkylakeX host (numpy 2.4.6) that scatter, with
+the copy of its result, took about half the time at 4 columns, 10-25%
+less at 8, the same at 12 and 1.5-2x more at 16.  Stride 2 keeps the
+first layout.  Either buffer is returned as a [B, C, Hp, Wp] view.
 
 A conv2d that records no tape node (every codec path runs under
 no_grad) works in bands of output rows, counted over the B*H' rows of
@@ -67,17 +79,40 @@ def _im2col(x_pad: np.ndarray, k: int, stride: int) -> np.ndarray:
     return np.ascontiguousarray(_patches(x_pad, k, stride))
 
 
+_NARROW_COLS = 8   # the widest output a stride-1 scatter runs channels-last
+
+
 def _col2im(cols: np.ndarray, pad_shape, k: int, stride: int) -> np.ndarray:
     """Scatter-add [C, k, k, B, H', W'] patches back into a padded
-    [B,C,Hp,Wp] map (returned as a view of a [C,B,Hp,Wp] buffer)."""
+    [B,C,Hp,Wp] map, returned as a view of a [C,B,Hp,Wp] buffer, or of a
+    [Hp,Wp,C,B] one for a stride-1 scatter at most _NARROW_COLS wide."""
     b, c, hp, wp = pad_shape
-    buf = np.zeros((c, b, hp, wp), dtype=cols.dtype)
     h_out, w_out = cols.shape[4], cols.shape[5]
+    if stride == 1 and w_out <= _NARROW_COLS:
+        taps = np.ascontiguousarray(cols.transpose(1, 2, 4, 5, 0, 3))
+        buf = np.zeros((hp, wp, c, b), dtype=cols.dtype)
+        for i in range(k):
+            for j in range(k):
+                buf[i:i + h_out, j:j + w_out] += taps[i, j]
+        return buf.transpose(3, 2, 0, 1)
+    buf = np.zeros((c, b, hp, wp), dtype=cols.dtype)
     for i in range(k):
         for j in range(k):
             buf[:, :, i:i + stride * (h_out - 1) + 1:stride,
                 j:j + stride * (w_out - 1) + 1:stride] += cols[:, i, j]
     return buf.transpose(1, 0, 2, 3)
+
+
+def _pad(x: np.ndarray, p: int) -> np.ndarray:
+    """[B,C,H,W] -> [B,C,H+2p,W+2p] with zero borders; the bits of np.pad."""
+    b, c, h, w = x.shape
+    out = np.empty((b, c, h + 2 * p, w + 2 * p), dtype=x.dtype)
+    out[:, :, :p] = 0
+    out[:, :, h + p:] = 0
+    out[:, :, p:h + p, :p] = 0
+    out[:, :, p:h + p, w + p:] = 0
+    out[:, :, p:h + p, p:w + p] = x
+    return out
 
 
 _CONV_BAND_BYTES = 4 << 20   # patch bytes per band: about one core's L2 cache
@@ -147,7 +182,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
 
     x_pad = x.data
     if padding:
-        x_pad = np.pad(x_pad, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        x_pad = _pad(x_pad, padding)
     w_mat = kernel.data.reshape(c_out, c_in * k * k)
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
     record = T._should_record(*inputs)

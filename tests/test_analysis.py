@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,6 +125,26 @@ class TestMatrixDump:
         path.write_bytes(header + b"\x00" * 64)
         with pytest.raises(FormatError):
             an.load_matrix(str(path))
+
+    @pytest.mark.parametrize("header", [b"70" + b" 1" * 69 + b" 0\n", b"2 -1 -4\n"],
+                             ids=["rank70", "negative_dims"])
+    def test_bad_shape_is_format_error(self, tmp_path, header):
+        path = tmp_path / "d.mat"
+        path.write_bytes(header + b"\x00" * 16)
+        with pytest.raises(FormatError, match="bad matrix shape"):
+            an.load_matrix(str(path))
+
+    def test_payload_size_checked_before_reading(self, tmp_path):
+        path = tmp_path / "e.mat"
+        path.write_bytes(b"1 100000000\n".ljust(16, b"\x00"))
+        tracemalloc.start()
+        try:
+            with pytest.raises(FormatError, match="truncated"):
+                an.load_matrix(str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_scale_to_uint8(self):
         flat = an.scale_to_uint8(np.full((3, 3), 7.0))

@@ -113,6 +113,16 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and f"--lambdas: {bad} " in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("variants, bad", [("", "''"), (",", "''"), ("hide,", "''"),
+                                               ("hide,,baseline", "''"), ("nope", "'nope'")])
+    def test_bad_sweep_variant_is_an_error_line(self, tmp_path, capsys, variants, bad):
+        out = tmp_path / "sweep"
+        assert main(["sweep", "--variants", variants, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and f"unknown variant {bad}" in err
+        assert not out.exists()
+
     def test_bad_rd_csv_row_is_an_error_line(self, tmp_path, capsys):
         path = tmp_path / "rd.csv"
         path.write_text("image,lambda,bpp,psnr\nimg0,0.01,abc,32.0\n")

@@ -272,6 +272,18 @@ class TestCheckpoint:
             load_checkpoint(str(path))
         assert str(path) in str(info.value)
 
+    @pytest.mark.parametrize("shape", [(1,) * 69 + (0,), (65536,) * 4],
+                             ids=["rank70", "count_wraps_int64"])
+    def test_bad_record_shape_is_format_error(self, tmp_path, shape):
+        # a rank above numpy's 64, and four dims whose product is 2**64,
+        # which an int64 count wraps to 0
+        from hide.core import checkpoint
+        record = struct.pack(f"<H1sBB{len(shape)}I", 1, b"w", 0, len(shape), *shape)
+        path = tmp_path / "bad.hide"
+        path.write_bytes(checkpoint.MAGIC + struct.pack("<H", checkpoint.VERSION) + record)
+        with pytest.raises(FormatError):
+            checkpoint.load_checkpoint(str(path))
+
     def test_variant_isolation_by_parameter_names(self):
         names = {}
         for variant in ("baseline", "hd", "cape", "hide"):

@@ -63,6 +63,18 @@ def conv_transpose2d_scatter(x, w, b, stride, padding, out_hw):
     return out
 
 
+def col2im_loop(cols, pad_shape, k, stride):
+    """The [C,B,Hp,Wp] scatter: one strided add per kernel offset."""
+    b, c, hp, wp = pad_shape
+    buf = np.zeros((c, b, hp, wp), dtype=cols.dtype)
+    h_out, w_out = cols.shape[4], cols.shape[5]
+    for i in range(k):
+        for j in range(k):
+            buf[:, :, i:i + stride * (h_out - 1) + 1:stride,
+                j:j + stride * (w_out - 1) + 1:stride] += cols[:, i, j]
+    return buf.transpose(1, 0, 2, 3)
+
+
 def matmul_loop(a, w):
     m, k = a.shape
     k2, n = w.shape
@@ -211,6 +223,38 @@ class TestConv2dBands:
         with C.no_grad():
             C.conv2d(x, kernel, None, padding=1)
         assert calls == []
+
+
+class TestCol2im:
+    """Both scatter layouts give the bits of the [C,B,Hp,Wp] loop."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 3, 5, 7])
+    @pytest.mark.parametrize("batch", [1, 4])
+    @pytest.mark.parametrize("w_out", [ops._NARROW_COLS - 4, ops._NARROW_COLS,
+                                       ops._NARROW_COLS + 1])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_equals_loop_bitwise(self, rng, dtype, k, batch, w_out, stride):
+        c, h_out = 6, w_out + 1
+        cols = rng.standard_normal((c, k, k, batch, h_out, w_out)).astype(dtype)
+        pad_shape = (batch, c, stride * (h_out - 1) + k, stride * (w_out - 1) + k)
+        out = ops._col2im(cols, pad_shape, k, stride)
+        expect = col2im_loop(cols, pad_shape, k, stride)
+        assert out.shape == pad_shape and out.dtype == dtype
+        assert np.ascontiguousarray(out).tobytes() == np.ascontiguousarray(expect).tobytes()
+        channels_last = stride == 1 and w_out <= ops._NARROW_COLS
+        assert out.base.shape == ((pad_shape[2], pad_shape[3], c, batch) if channels_last
+                                  else (c, batch, pad_shape[2], pad_shape[3]))
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("padding", [1, 3])
+def test_pad_equals_np_pad_bitwise(rng, dtype, padding):
+    x = rng.standard_normal((2, 3, 5, 7)).astype(dtype)
+    x[0, 0, 0] = -0.0
+    expect = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+    out = ops._pad(x, padding)
+    assert out.dtype == dtype and out.tobytes() == expect.tobytes()
 
 
 class TestConvTranspose2d:
@@ -500,6 +544,28 @@ class TestAdam:
                 assert np.array_equal(p.data, ref[n][0])
                 assert np.array_equal(opt._state[n][0], ref[n][1])
                 assert np.array_equal(opt._state[n][1], ref[n][2])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_blocks_match_adam_step_bitwise(self, rng, dtype):
+        from hide.core.adam import BLOCK
+        sizes = {"a": 1, "b": BLOCK - 1, "c": BLOCK, "d": BLOCK + 1, "e": 3 * BLOCK}
+        params = {n: Tensor(rng.standard_normal(s), requires_grad=True, dtype=dtype)
+                  for n, s in sizes.items()}
+        ref = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for n, p in params.items()}
+        opt = C.Adam(list(params.items()), lr=1e-3)
+        for t in range(1, 4):
+            for n, p in params.items():
+                skip = n == "d" and t == 2
+                p.grad = None if skip else rng.standard_normal(sizes[n]).astype(dtype)
+            opt.step()
+            for n, p in params.items():
+                if p.grad is not None:
+                    ref[n] = C.adam_step(*ref[n][:1], p.grad, *ref[n][1:], t, opt.lr)
+                assert p.data.dtype == dtype
+                assert p.data.tobytes() == ref[n][0].tobytes()
+                assert opt._state[n][0].tobytes() == ref[n][1].tobytes()
+                assert opt._state[n][1].tobytes() == ref[n][2].tobytes()
 
     def test_duplicate_parameter_name_rejected(self):
         from hide.core.nn import Parameter
