@@ -7,20 +7,23 @@ The container layout (documented byte-exactly in docs/bitstream.md):
     width    u32   original image width
     height   u32   original image height
     cfg_hash 8 bytes  (sha256 prefix of the canonical config text)
-    z-stream  u32 length + bytes
-    per-slice y-streams, s times: u32 length + bytes
+    stream   one range-coded stream: the hyper symbols, then the s
+             latent slices in decode order
+    crc      u32   zlib.crc32 of every coded symbol as int8, in that order
 
 The decoder recomputes every entropy parameter from the checkpoint and
 previously decoded content; nothing about the models travels in the
 file beyond the config hash used to refuse mismatched checkpoints.  The
-hash covers every config key, lambda included.
+hash covers every config key, lambda included.  A payload decodes to
+its image or raises: after the last slice the stream must be consumed
+exactly and the decoded symbols must match the CRC.
 """
 
 from __future__ import annotations
 
 import struct
+import zlib
 from dataclasses import dataclass
-from typing import List
 
 import numpy as np
 
@@ -30,8 +33,9 @@ from .errors import DecodeError, FormatError, ShapeError
 from .model import CompressionModel
 
 MAGIC = b"HIDB"
-VERSION = 3
+VERSION = 4
 _HEADER = struct.Struct("<4sHII8s")
+_CRC = struct.Struct("<I")
 # Largest width * height coded; the decoder checks it before allocating.
 MAX_PIXELS = 1 << 24
 
@@ -100,37 +104,26 @@ def encode_image(model: CompressionModel, img: np.ndarray) -> EncodeResult:
     bundle = fwd["bundle"]
 
     z_rows, z_index = _hyper_cdf_rows(model, z_sym.shape[2] * z_sym.shape[3])
-    streams = [coder.encode_symbols(z_sym.reshape(-1), z_rows, z_index)]
-    num_symbols = z_sym.size
-    for rec in bundle.slices:
-        streams.append(coder.encode_symbols(rec.symbols.reshape(-1), coder.SCALE_CDFS,
-                                            rec.scale_index.reshape(-1)))
-        num_symbols += rec.symbols.size
+    symbols = np.concatenate([z_sym.reshape(-1)] + [r.symbols.reshape(-1) for r in bundle.slices])
+    index = np.concatenate([z_index] + [len(z_rows) + r.scale_index.reshape(-1)
+                                        for r in bundle.slices])
+    stream = coder.encode_symbols(symbols, np.vstack([z_rows, coder.SCALE_CDFS]), index)
 
     header = _HEADER.pack(MAGIC, VERSION, width, height, model.config.config_hash())
-    body = b"".join(struct.pack("<I", len(s)) + s for s in streams)
-    data = header + body
+    data = header + stream + _CRC.pack(zlib.crc32(symbols.astype(np.int8)))
 
     recon_padded = fwd["x_hat"][0]
     return EncodeResult(
         data=data,
-        payload_bits=sum(len(s) * 8 for s in streams),
+        payload_bits=len(stream) * 8,
         estimated_bits=bundle.total_bits + fwd["z_bits"],
-        num_symbols=num_symbols,
+        num_symbols=symbols.size,
         bpp=len(data) * 8 / (width * height),
         recon=recon_padded[:, :height, :width],
         recon_padded=recon_padded,
         z_symbols=z_sym,
         slice_records=bundle.slices,
     )
-
-
-def _decode_stream(name: str, data: bytes, cdfs: np.ndarray, index: np.ndarray) -> np.ndarray:
-    """coder.decode_symbols, with a DecodeError that names the stream."""
-    try:
-        return coder.decode_symbols(data, cdfs, index)
-    except DecodeError as err:
-        raise DecodeError(f"{name}: {err}") from None
 
 
 def decode_image(model: CompressionModel, data: bytes) -> DecodeResult:
@@ -147,35 +140,36 @@ def decode_image(model: CompressionModel, data: bytes) -> DecodeResult:
             "checkpoint/config hash mismatch: this payload was produced by a "
             "different model configuration")
 
-    pos = _HEADER.size
-    streams: List[bytes] = []
-    for _ in range(model.config.s + 1):
-        if pos + 4 > len(data):
-            raise DecodeError("truncated payload: missing stream length")
-        (n,) = struct.unpack_from("<I", data, pos)
-        pos += 4
-        chunk = data[pos:pos + n]
-        if len(chunk) != n:
-            raise DecodeError(f"truncated payload: stream of {n} bytes cut short")
-        pos += n
-        streams.append(chunk)
-    if pos != len(data):
-        raise DecodeError(f"{len(data) - pos} trailing bytes after the last stream")
-
     pad_h = height + ((-height) % SPATIAL_FACTOR)
     pad_w = width + ((-width) % SPATIAL_FACTOR)
     zh, zw = pad_h // SPATIAL_FACTOR, pad_w // SPATIAL_FACTOR
 
+    stream = data[_HEADER.size:len(data) - _CRC.size]
     z_rows, z_index = _hyper_cdf_rows(model, zh * zw)
-    z_sym = _decode_stream("hyper stream", streams[0], z_rows, z_index).reshape(
-        1, model.config.hyper_channels, zh, zw)
+    stage, crc = "hyper stream", 0
+
+    def decode(cdfs: np.ndarray, index: np.ndarray) -> np.ndarray:
+        nonlocal crc
+        symbols = coder.decode_symbols(dec, cdfs, index.reshape(-1)).reshape(index.shape)
+        crc = zlib.crc32(symbols.astype(np.int8), crc)
+        return symbols
 
     def symbol_source(i: int, index: np.ndarray) -> np.ndarray:
-        name = f"slice {i + 1} of {model.config.s}"
-        return _decode_stream(name, streams[1 + i], coder.SCALE_CDFS,
-                              index.reshape(-1)).reshape(index.shape)
+        nonlocal stage
+        stage = f"slice {i + 1} of {model.config.s}"
+        return decode(coder.SCALE_CDFS, index)
 
-    fwd = model.decode_forward(z_sym, symbol_source)
+    try:
+        dec = coder.Decoder(stream)
+        z_sym = decode(z_rows, z_index).reshape(1, model.config.hyper_channels, zh, zw)
+        fwd = model.decode_forward(z_sym, symbol_source)
+    except DecodeError as err:
+        raise DecodeError(f"{stage}: {err}") from None
+    if dec.pos != len(stream):
+        raise DecodeError(f"{len(stream) - dec.pos} stream bytes left after {stage}")
+    if crc != _CRC.unpack_from(data, len(stream) + _HEADER.size)[0]:
+        raise DecodeError(f"symbol CRC mismatch after {stage}: the payload is corrupt, or "
+                          "was encoded with other weights or BLAS threading")
     recon_padded = fwd["x_hat"][0]
     return DecodeResult(
         image=recon_padded[:, :height, :width],

@@ -4,7 +4,8 @@ The coder is a standard 32-bit range coder with 16-bit probability
 precision and byte-wise carry propagation (cache plus pending-0xFF
 counter).  Streams are self-delimiting only through the caller knowing
 the symbol count; the flush emits five bytes, so the total overhead per
-stream is bounded by 64 bits.  See docs/bitstream.md for the byte-exact
+stream is bounded by 64 bits.  One stream may be decoded over several
+calls through a Decoder.  See docs/bitstream.md for the byte-exact
 procedure.
 """
 
@@ -167,8 +168,12 @@ class _Encoder:
         return bytes(self.out)
 
 
-class _Decoder:
+class Decoder:
+    """Decoding state over one stream; decode_symbols continues it."""
+
     def __init__(self, data: bytes):
+        if len(data) < 5:
+            raise DecodeError(f"stream of {len(data)} bytes is shorter than the coder flush")
         self.data = data
         self.pos = 0
         self.range = _MASK32
@@ -234,16 +239,16 @@ def encode_symbols(symbols: Sequence[int], cdfs: np.ndarray, index=None) -> byte
     return enc.flush()
 
 
-def decode_symbols(data: bytes, cdfs: np.ndarray, index=None) -> np.ndarray:
-    """Exact inverse of encode_symbols; cdfs and index must match the encoder's."""
+def decode_symbols(source, cdfs: np.ndarray, index=None) -> np.ndarray:
+    """Exact inverse of encode_symbols; cdfs and index must match the encoder's.
+    source is the stream bytes, or a Decoder to continue under this call's
+    table; a valid stream is consumed exactly, but neither form checks it."""
     cdfs = np.asarray(cdfs, dtype=np.int64)
     n = np.size(index) if index is not None else cdfs.shape[0] if cdfs.ndim else 0
     rows = _row_index(cdfs, index, n)
     width = cdfs.shape[1]
     starts = (rows * width).tolist()
-    if len(data) < 5:
-        raise DecodeError(f"stream of {len(data)} bytes is shorter than the coder flush")
-    dec = _Decoder(data)
+    dec = source if isinstance(source, Decoder) else Decoder(source)
     # a flat memoryview hands bisect Python ints without numpy scalar boxing
     flat = memoryview(np.ascontiguousarray(cdfs).reshape(-1))
     out = [dec.decode(flat, lo, lo + width) for lo in starts]

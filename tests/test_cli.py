@@ -123,6 +123,23 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and f"unknown variant {bad}" in err
         assert not out.exists()
 
+    def test_corrupt_payload_is_an_error_line(self, tmp_path, workspace, capsys):
+        _, _, img_path = workspace
+        ckpt = str(tmp_path / "m.hide")
+        CompressionModel(parse_config_text(TINY_CONFIG)).save(ckpt)
+        payload = tmp_path / "img.hidb"
+        assert main(["encode", img_path, "--checkpoint", ckpt, "--out", str(payload)]) == 0
+        capsys.readouterr()
+        blob = bytearray(payload.read_bytes())
+        blob[(22 + len(blob) - 4) // 2] ^= 0x5A     # a byte in the middle of the stream
+        payload.write_bytes(bytes(blob))
+        out = tmp_path / "o.ppm"
+        assert main(["decode", str(payload), "--checkpoint", ckpt, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert not out.exists()
+
     def test_bad_rd_csv_row_is_an_error_line(self, tmp_path, capsys):
         path = tmp_path / "rd.csv"
         path.write_text("image,lambda,bpp,psnr\nimg0,0.01,abc,32.0\n")

@@ -4,13 +4,16 @@ import dataclasses
 import hashlib
 import math
 import struct
+import zlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hide import codec, coder, ppm
 from hide.config import ModelConfig, parse_config_text
-from hide.errors import ConfigError, DecodeError, FormatError, ShapeError
+from hide.errors import ConfigError, DecodeError, FormatError, HideError, ShapeError
 from hide.model import CompressionModel, load_model
 
 from conftest import check_gradients
@@ -35,6 +38,11 @@ def image():
     ramp = np.linspace(0, 0.3, 64)[None, None, :]
     noise = rng.normal(0, 0.05, size=(3, 64, 64))
     return np.clip(base + ramp + noise, 0, 1)
+
+
+@pytest.fixture(scope="module")
+def encoded(model, image):
+    return codec.encode_image(model, image)
 
 
 class TestTransformShapes:
@@ -103,22 +111,37 @@ class TestRoundTrip:
         with pytest.raises(DecodeError):
             codec.decode_image(model, enc.data[:10])
 
-    def test_truncated_stream_is_named(self, image):
+    def test_truncated_stream_is_named(self, image, monkeypatch):
         model_ = CompressionModel(tiny_config(s=4))
         data = codec.encode_image(model_, image).data
-        pos, streams = codec._HEADER.size, []
-        while pos < len(data):
-            (n,) = struct.unpack_from("<I", data, pos)
-            streams.append(data[pos + 4:pos + 4 + n])
-            pos += 4 + n
+        # the stream offset at which each stage starts reading its symbols
+        starts, decode = [], coder.decode_symbols
+
+        def recorded(dec, cdfs, index):
+            starts.append(dec.pos)
+            return decode(dec, cdfs, index)
+
+        monkeypatch.setattr(coder, "decode_symbols", recorded)
+        codec.decode_image(model_, data)
         names = ["hyper stream"] + [f"slice {i} of 4" for i in range(1, 5)]
-        assert len(streams) == len(names)
-        for j, name in enumerate(names):
-            parts = [b"\0" * 5 if i == j else part for i, part in enumerate(streams)]
-            blob = data[:codec._HEADER.size] + b"".join(
-                struct.pack("<I", len(part)) + part for part in parts)
+        assert len(starts) == len(names)
+        ends = starts[1:] + [len(data) - codec._HEADER.size - 4]
+        for start, end, name in zip(starts, ends, names):
+            assert start < end      # every stage reads stream bytes
+            cut = data[:codec._HEADER.size + start] + data[-4:]
             with pytest.raises(DecodeError, match=f"^{name}: bitstream exhausted"):
-                codec.decode_image(model_, blob)
+                codec.decode_image(model_, cut)
+
+    def test_trailing_stream_byte_refused(self, model, encoded):
+        data = encoded.data
+        with pytest.raises(DecodeError, match="^1 stream bytes left after slice 2 of 2"):
+            codec.decode_image(model, data[:-4] + b"\0" + data[-4:])
+
+    def test_crc_mismatch_refused(self, model, encoded):
+        data = encoded.data
+        bad = data[:-4] + bytes([data[-4] ^ 1]) + data[-3:]
+        with pytest.raises(DecodeError, match="^symbol CRC mismatch after slice 2 of 2"):
+            codec.decode_image(model, bad)
 
     def test_bad_magic_rejected(self, model, image):
         enc = codec.encode_image(model, image)
@@ -177,13 +200,15 @@ class TestRoundTrip:
 
 
 class TestContainer:
-    def test_header_is_22_bytes_version_3(self, model, image):
+    def test_header_is_22_bytes_version_4(self, model, image):
         enc = codec.encode_image(model, image)
         magic, version, width, height, cfg_hash = struct.unpack_from("<4sHII8s", enc.data)
-        assert (magic, version, width, height) == (b"HIDB", 3, 64, 64)
+        assert (magic, version, width, height) == (b"HIDB", 4, 64, 64)
         assert cfg_hash == model.config.config_hash()
-        streams = 4 * (model.config.s + 1) + enc.payload_bits // 8
-        assert len(enc.data) == 22 + streams
+        assert len(enc.data) == 22 + enc.payload_bits // 8 + 4
+        symbols = np.concatenate([enc.z_symbols.reshape(-1)] + [
+            rec.symbols.reshape(-1) for rec in enc.slice_records])
+        assert enc.data[-4:] == struct.pack("<I", zlib.crc32(symbols.astype(np.int8)))
 
     def test_version_1_refused(self, model, image):
         enc = codec.encode_image(model, image)
@@ -198,6 +223,13 @@ class TestContainer:
         v2 = enc.data[:4] + struct.pack("<H", 2) + enc.data[6:]
         with pytest.raises(FormatError, match="version 2"):
             codec.decode_image(model, v2)
+
+    def test_version_3_refused(self, model, image):
+        # v3 held s + 1 length-prefixed streams and no CRC
+        enc = codec.encode_image(model, image)
+        v3 = enc.data[:4] + struct.pack("<H", 3) + enc.data[6:]
+        with pytest.raises(FormatError, match="version 3"):
+            codec.decode_image(model, v3)
 
     @pytest.mark.parametrize("side", [1 << 20, (1 << 32) - 1])
     def test_oversized_header_refused_before_allocating(self, model, image, side):
@@ -226,6 +258,36 @@ class TestContainer:
         b = codec.encode_image(other, image).data
         assert a[22:] == b[22:]
         assert a[14:22] != b[14:22]
+
+
+def mutations(data: bytes):
+    """1-3 flipped bytes, a truncation, or one inserted byte."""
+    n = len(data)
+
+    def flip(changes):
+        blob = bytearray(data)
+        for pos, mask in changes:
+            blob[pos] ^= mask
+        return bytes(blob)
+
+    return st.one_of(
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 255)),
+                 min_size=1, max_size=3, unique_by=lambda c: c[0]).map(flip),
+        st.integers(0, n - 1).map(lambda k: data[:k]),
+        st.tuples(st.integers(0, n), st.integers(0, 255)).map(
+            lambda c: data[:c[0]] + bytes([c[1]]) + data[c[0]:]))
+
+
+class TestCorruptPayloads:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_exact_image_or_hide_error(self, model, encoded, data):
+        blob = data.draw(mutations(encoded.data))
+        try:
+            dec = codec.decode_image(model, blob)
+        except HideError:
+            return
+        assert np.array_equal(dec.recon_padded, encoded.recon_padded)
 
 
 class TestCheckpoint:
@@ -321,7 +383,7 @@ class TestDigests:
     def test_untrained_float64_payload(self, model, image):
         data = codec.encode_image(model, image).data
         assert hashlib.sha256(data).hexdigest() == (
-            "17e1428cefc1efaf54d3377a1f96ec1e4102e6df405cc1d1fe897bc9ff9f4ad7")
+            "d22bae446af600ae04ee8077c5d1ea2055972c74936bd92ea53d2ad2ca881d61")
 
 
 class TestConfig:

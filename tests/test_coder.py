@@ -340,6 +340,38 @@ class TestRoundTrip:
             np.testing.assert_array_equal(coder.decode_symbols(noise, cdfs),
                                           oracle_decode_symbols(noise, cdfs))
 
+    @pytest.mark.parametrize("parts", [2, 3, 5])
+    def test_decoder_continues_across_calls(self, rng, parts):
+        # one encode_symbols call over the whole sequence; one Decoder takes
+        # it back in parts, each part under its own cdf table
+        n = 600
+        cuts = np.sort(rng.choice(np.arange(1, n), parts - 1, replace=False))
+        tables, indices = [], []
+        for size in np.diff(np.concatenate([[0], cuts, [n]])):
+            rows = int(rng.integers(1, 9))
+            sig = np.exp(rng.uniform(np.log(SIGMA_MIN), np.log(16.0), rows))
+            tables.append(coder.build_cdf_batch(rng.uniform(0, 1, rows), sig))
+            indices.append(rng.integers(0, rows, size=size))
+        offsets = np.cumsum([0] + [t.shape[0] for t in tables[:-1]])
+        table = np.vstack(tables)
+        index = np.concatenate([i + o for i, o in zip(indices, offsets)])
+        syms = rng.integers(-8, 9, size=n)
+        data = coder.encode_symbols(syms, table, index)
+        dec = coder.Decoder(data)
+        out = [coder.decode_symbols(dec, t, i) for t, i in zip(tables, indices)]
+        np.testing.assert_array_equal(np.concatenate(out), syms)
+        assert dec.pos == len(data)
+        # on arbitrary bytes the parts still equal one call over the whole table
+        noise = rng.integers(0, 256, size=2 * n + 5, dtype=np.uint8).tobytes()
+        dec = coder.Decoder(noise)
+        out = [coder.decode_symbols(dec, t, i) for t, i in zip(tables, indices)]
+        np.testing.assert_array_equal(np.concatenate(out),
+                                      coder.decode_symbols(noise, table, index))
+
+    def test_short_stream_refused(self):
+        with pytest.raises(DecodeError, match="shorter than the coder flush"):
+            coder.Decoder(bytes(4))
+
     def test_symbol_out_of_alphabet(self):
         cdf = coder.build_cdf_batch([0.0], [1.0])[0]
         with pytest.raises(CoderError):
