@@ -110,23 +110,21 @@ class UtilizationReport:
         return out
 
 
+# the SliceRecord field that holds each dictionary's attention maps
+_ATTENTION_FIELD = {"global": "attn_global", "single": "attn_global", "detail": "attn_detail"}
+
+
 def collect_attention(model: CompressionModel, images: Sequence[np.ndarray]):
     """Run the codec forward over images, keeping per-slice attention."""
-    dicts = model.entropy.dict_ctx.dictionaries()
-    if not dicts:
-        raise HideError("model variant has no dictionary to analyze")
-    maps: Dict[str, List[np.ndarray]] = {name: [] for name in dicts}
+    maps: Dict[str, List[np.ndarray]] = {
+        name: [] for name in model.entropy.dict_ctx.dictionaries()}
     from .codec import pad_image
     for img in images:
         fwd = model.encode_forward(pad_image(np.asarray(img, dtype=np.float64)),
                                    keep_attention=True)
         for rec in fwd["bundle"].slices:
-            if "global" in maps and rec.attn_global is not None:
-                maps["global"].append(rec.attn_global)
-            if "detail" in maps and rec.attn_detail is not None:
-                maps["detail"].append(rec.attn_detail)
-            if "single" in maps and rec.attn_global is not None:
-                maps["single"].append(rec.attn_global)
+            for name, collected in maps.items():
+                collected.append(getattr(rec, _ATTENTION_FIELD[name]))
     return maps
 
 
@@ -149,20 +147,18 @@ def attention_heatmaps(model: CompressionModel,
     used entries of each dictionary, for one image."""
     from .codec import pad_image
     padded = pad_image(np.asarray(img, dtype=np.float64))
-    fwd = model.encode_forward(padded, keep_attention=True)
-    h = padded.shape[1] // 16
-    w = padded.shape[2] // 16
-    dicts = model.entropy.dict_ctx.dictionaries()
+    records = model.encode_forward(padded, keep_attention=True)["bundle"].slices
+    grid = records[0].y_hat.shape[2:]
     out: Dict[str, Dict[int, np.ndarray]] = {}
-    for name in dicts:
+    for name in model.entropy.dict_ctx.dictionaries():
         per_slice = []
-        for rec in fwd["bundle"].slices:
-            attn = rec.attn_global if name in ("global", "single") else rec.attn_detail
+        for rec in records:
+            attn = getattr(rec, _ATTENTION_FIELD[name])
             per_slice.append(attn.mean(axis=0))          # heads averaged -> [T, N]
         mean_attn = np.mean(per_slice, axis=0)           # slices averaged
         usage = mean_attn.mean(axis=0)
         top = np.argsort(-usage)[:TOP_K]
-        out[name] = {int(e): mean_attn[:, e].reshape(h, w) for e in top}
+        out[name] = {int(e): mean_attn[:, e].reshape(grid) for e in top}
     return out
 
 

@@ -96,7 +96,7 @@ def _cmd_train(args) -> int:
     config = _load_base_config(args.config)
     overrides = {}
     if args.variant:
-        overrides["variant"] = normalize_variant(args.variant)
+        overrides["variant"] = args.variant
     if args.seed is not None:
         overrides["seed"] = args.seed
     if args.steps is not None:

@@ -29,6 +29,7 @@ import numpy as np
 
 from . import coder
 from .backbone import SPATIAL_FACTOR
+from .core.tensor import no_grad
 from .errors import DecodeError, FormatError, ShapeError
 from .model import CompressionModel
 
@@ -89,7 +90,8 @@ def _as_unit_float(img: np.ndarray) -> np.ndarray:
 def _hyper_cdf_rows(model: CompressionModel, spatial: int):
     """The per-channel hyper cdf rows and the row of each z symbol."""
     fracs = model.hyper_prior.frac_means()
-    sigmas = model.hyper_prior.sigma().numpy().astype(np.float64)
+    with no_grad():   # sigma() is differentiable; recorded, its nodes stay on the tape
+        sigmas = model.hyper_prior.sigma().numpy().astype(np.float64)
     per_channel = coder.build_cdf_batch(fracs, sigmas)
     return per_channel, np.repeat(np.arange(per_channel.shape[0]), spatial)
 

@@ -97,7 +97,8 @@ class ModelConfig:
         return hashlib.sha256(self.to_text().encode("utf-8")).digest()[:8]
 
 
-def parse_config_text(text: str, base: ModelConfig | None = None) -> ModelConfig:
+def parse_config_text(text: str) -> ModelConfig:
+    """The default ModelConfig with the file's key=value lines applied."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -108,13 +109,13 @@ def parse_config_text(text: str, base: ModelConfig | None = None) -> ModelConfig
         key, value = (part.strip() for part in line.split("=", 1))
         attr = _KEY_TO_ATTR.get(key, key)
         values[attr] = (value, lineno)
-    base = base or ModelConfig()
+    defaults = ModelConfig()
     kwargs = {}
     for f in fields(ModelConfig):
         if f.name not in values:
             continue
         raw, lineno = values.pop(f.name)
-        current = getattr(base, f.name)
+        current = getattr(defaults, f.name)
         kind = int if isinstance(current, int) else float if isinstance(current, float) else str
         try:
             kwargs[f.name] = kind(raw)
@@ -124,9 +125,9 @@ def parse_config_text(text: str, base: ModelConfig | None = None) -> ModelConfig
                               f"got {raw!r}") from None
     if values:
         raise ConfigError(f"unknown config keys: {sorted(values)}")
-    return replace(base, **kwargs)
+    return replace(defaults, **kwargs)
 
 
-def load_config(path: str, base: ModelConfig | None = None) -> ModelConfig:
+def load_config(path: str) -> ModelConfig:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base=base)
+        return parse_config_text(fh.read())

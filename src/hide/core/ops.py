@@ -185,7 +185,7 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
         x_pad = _pad(x_pad, padding)
     w_mat = kernel.data.reshape(c_out, c_in * k * k)
     inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    record = T._should_record(*inputs)
+    record = T.recording(*inputs)
     band = 0 if record else _band_rows(c_out, c_in * k * k, b * h_out, w_out, x_pad.itemsize)
     if band:
         out_mat = _conv_bands(x_pad, w_mat, k, stride, h_out, w_out, band)
@@ -196,24 +196,19 @@ def conv2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
         out_mat += bias.data[:, None]
     out_data = out_mat.reshape(c_out, b, h_out, w_out).transpose(1, 0, 2, 3)
 
-    out = Tensor(out_data, requires_grad=record, dtype=x.dtype)
-    if out.requires_grad:
-        pad_shape = x_pad.shape
-
-        def backward(g):
-            g_mat = g.transpose(1, 0, 2, 3).reshape(c_out, b * h_out * w_out)
-            if kernel.requires_grad:
-                kernel._accumulate((g_mat @ cols.T).reshape(kernel.shape))
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(g_mat.sum(axis=1))
-            if x.requires_grad:
-                d_cols = (w_mat.T @ g_mat).reshape(c_in, k, k, b, h_out, w_out)
-                buf = _col2im(d_cols, pad_shape, k, stride)
-                if padding:
-                    buf = buf[:, :, padding:padding + h, padding:padding + w]
-                x._accumulate(buf)
-        T._record(out, backward)
-    return out
+    def backward(g):
+        g_mat = g.transpose(1, 0, 2, 3).reshape(c_out, b * h_out * w_out)
+        if kernel.requires_grad:
+            kernel._accumulate((g_mat @ cols.T).reshape(kernel.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g_mat.sum(axis=1))
+        if x.requires_grad:
+            d_cols = (w_mat.T @ g_mat).reshape(c_in, k, k, b, h_out, w_out)
+            buf = _col2im(d_cols, (b, c_in, h + 2 * padding, w + 2 * padding), k, stride)
+            if padding:
+                buf = buf[:, :, padding:padding + h, padding:padding + w]
+            x._accumulate(buf)
+    return T.node(out_data, inputs, backward)
 
 
 def conv_transpose2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
@@ -256,22 +251,18 @@ def conv_transpose2d(x: Tensor, kernel: Tensor, bias: Optional[Tensor] = None,
     if bias is not None:
         out_data = out_data + bias.data[None, :, None, None]
 
-    inputs = (x, kernel) if bias is None else (x, kernel, bias)
-    out = Tensor(out_data, requires_grad=T._should_record(*inputs), dtype=x.dtype)
-    if out.requires_grad:
-        def backward(g):
-            g_buf = np.zeros((b, c_out, buf_h, buf_w), dtype=g.dtype)
-            g_buf[:, :, padding:padding + h_out, padding:padding + w_out] = g
-            g_cols = _im2col(g_buf, k, stride).reshape(c_out * k * k, b * h * w)
-            if kernel.requires_grad:
-                kernel._accumulate((x_mat @ g_cols.T).reshape(kernel.shape))
-            if bias is not None and bias.requires_grad:
-                bias._accumulate(g.sum(axis=(0, 2, 3)))
-            if x.requires_grad:
-                d_x_mat = k_mat @ g_cols
-                x._accumulate(d_x_mat.reshape(c_in, b, h, w).transpose(1, 0, 2, 3))
-        T._record(out, backward)
-    return out
+    def backward(g):
+        g_buf = np.zeros((b, c_out, buf_h, buf_w), dtype=g.dtype)
+        g_buf[:, :, padding:padding + h_out, padding:padding + w_out] = g
+        g_cols = _im2col(g_buf, k, stride).reshape(c_out * k * k, b * h * w)
+        if kernel.requires_grad:
+            kernel._accumulate((x_mat @ g_cols.T).reshape(kernel.shape))
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(g.sum(axis=(0, 2, 3)))
+        if x.requires_grad:
+            d_x_mat = k_mat @ g_cols
+            x._accumulate(d_x_mat.reshape(c_in, b, h, w).transpose(1, 0, 2, 3))
+    return T.node(out_data, (x, kernel) if bias is None else (x, kernel, bias), backward)
 
 
 def linear(x: Tensor, weight: Tensor, bias: Optional[Tensor] = None) -> Tensor:

@@ -1,10 +1,12 @@
 """Minimal deterministic tensor engine with reverse-mode autodiff.
 
-Values live in numpy arrays.  Every differentiable operation appends a
-node to a single global tape; ``backward`` walks the tape in reverse
-execution order exactly once and then clears it.  All reductions use
-numpy's fixed sequential order, so identical inputs give bit-identical
-outputs across runs.
+Values live in numpy arrays.  Every differentiable operation, here and
+in ``ops``, returns ``node(data, inputs, backward)``: that is the only
+way a result joins the single global tape, and ``recording(*inputs)``
+is the only test of whether it will.  ``backward`` walks the tape in
+reverse execution order exactly once and then clears it.  All
+reductions use numpy's fixed sequential order, so identical inputs give
+bit-identical outputs across runs.
 
 There is no global precision mode.  An operation's result takes the
 dtype of its first operand, and a tensor built without an explicit
@@ -147,12 +149,25 @@ def _wrap(x, dtype) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype), requires_grad=False, dtype=dtype)
 
 
-def _record(out: Tensor, fn) -> None:
-    _tape.append((out, fn))
-
-
-def _should_record(*inputs: Tensor) -> bool:
+def recording(*inputs: Tensor) -> bool:
+    """Whether an op on ``inputs`` joins the tape: gradients are enabled
+    and at least one input requires one."""
     return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
+def node(data, inputs: Sequence[Tensor], backward) -> Tensor:
+    """The result of an op on ``inputs``, in the first input's dtype.
+
+    When ``recording(*inputs)``, the result requires a gradient and
+    ``backward`` goes on the tape: ``backward(g)`` receives the result's
+    gradient and accumulates into the inputs that require one.
+    Otherwise the closure is dropped, so work that only backward needs
+    belongs inside it.
+    """
+    out = Tensor(data, requires_grad=recording(*inputs), dtype=inputs[0].dtype)
+    if out.requires_grad:
+        _tape.append((out, backward))
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
@@ -172,70 +187,53 @@ def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:
 def add(a, b) -> Tensor:
     a = _wrap(a, np.float64)
     b = _wrap(b, a.dtype)
-    out = Tensor(a.data + b.data, requires_grad=_should_record(a, b), dtype=a.dtype)
-    if out.requires_grad:
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g, b.shape))
-        _record(out, backward)
-    return out
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
+    return node(a.data + b.data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
     a = _wrap(a, np.float64)
     b = _wrap(b, a.dtype)
-    out = Tensor(a.data - b.data, requires_grad=_should_record(a, b), dtype=a.dtype)
-    if out.requires_grad:
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g, b.shape))
-        _record(out, backward)
-    return out
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g, b.shape))
+    return node(a.data - b.data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
     a = _wrap(a, np.float64)
     b = _wrap(b, a.dtype)
-    out = Tensor(a.data * b.data, requires_grad=_should_record(a, b), dtype=a.dtype)
-    if out.requires_grad:
-        ad, bd = a.data, b.data
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g * bd, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(g * ad, b.shape))
-        _record(out, backward)
-    return out
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
+    return node(a.data * b.data, (a, b), backward)
 
 
 def div(a, b) -> Tensor:
     a = _wrap(a, np.float64)
     b = _wrap(b, a.dtype)
-    out = Tensor(a.data / b.data, requires_grad=_should_record(a, b), dtype=a.dtype)
-    if out.requires_grad:
+    def backward(g):
         ad, bd = a.data, b.data
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g / bd, a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(-g * ad / (bd * bd), b.shape))
-        _record(out, backward)
-    return out
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / bd, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * ad / (bd * bd), b.shape))
+    return node(a.data / b.data, (a, b), backward)
 
 
 def power(a: Tensor, exponent: float) -> Tensor:
     exponent = float(exponent)
-    out = Tensor(a.data ** exponent, requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        ad = a.data
-        def backward(g):
-            a._accumulate(g * exponent * ad ** (exponent - 1.0))
-        _record(out, backward)
-    return out
+    def backward(g):
+        a._accumulate(g * exponent * a.data ** (exponent - 1.0))
+    return node(a.data ** exponent, (a,), backward)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -243,46 +241,32 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"matmul requires >=2-d operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
-    out = Tensor(a.data @ b.data, requires_grad=_should_record(a, b), dtype=a.dtype)
-    if out.requires_grad:
-        ad, bd = a.data, b.data
-        def backward(g):
-            if a.requires_grad:
-                a._accumulate(_unbroadcast(g @ np.swapaxes(bd, -1, -2), a.shape))
-            if b.requires_grad:
-                b._accumulate(_unbroadcast(np.swapaxes(ad, -1, -2) @ g, b.shape))
-        _record(out, backward)
-    return out
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape))
+    return node(a.data @ b.data, (a, b), backward)
 
 
 def exp(a: Tensor) -> Tensor:
-    out = Tensor(np.exp(a.data), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        od = out.data
-        def backward(g):
-            a._accumulate(g * od)
-        _record(out, backward)
-    return out
+    od = np.exp(a.data)
+    def backward(g):
+        a._accumulate(g * od)
+    return node(od, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        ad = a.data
-        def backward(g):
-            a._accumulate(g / ad)
-        _record(out, backward)
-    return out
+    def backward(g):
+        a._accumulate(g / a.data)
+    return node(np.log(a.data), (a,), backward)
 
 
 def tanh(a: Tensor) -> Tensor:
-    out = Tensor(np.tanh(a.data), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        od = out.data
-        def backward(g):
-            a._accumulate(g * (1.0 - od * od))
-        _record(out, backward)
-    return out
+    od = np.tanh(a.data)
+    def backward(g):
+        a._accumulate(g * (1.0 - od * od))
+    return node(od, (a,), backward)
 
 
 # float32 erf(x) = x * P(x^2) / Q(x^2) on x clipped to [-4, 4]; coefficients
@@ -329,24 +313,16 @@ def _erf_float32(x: np.ndarray) -> np.ndarray:
 def erf(a: Tensor) -> Tensor:
     """Error function: blocked rational approximation in float32, scipy in float64."""
     fn = _erf_float32 if a.dtype == np.float32 else _erf_np
-    out = Tensor(fn(a.data), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        ad = a.data
+    def backward(g):
         coef = 2.0 / np.sqrt(np.pi)
-        def backward(g):
-            a._accumulate(g * coef * np.exp(-ad * ad))
-        _record(out, backward)
-    return out
+        a._accumulate(g * coef * np.exp(-a.data * a.data))
+    return node(fn(a.data), (a,), backward)
 
 
 def softplus(a: Tensor) -> Tensor:
-    out = Tensor(np.logaddexp(0.0, a.data), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        ad = a.data
-        def backward(g):
-            a._accumulate(g * _sigmoid_np(ad))
-        _record(out, backward)
-    return out
+    def backward(g):
+        a._accumulate(g * _sigmoid_np(a.data))
+    return node(np.logaddexp(0.0, a.data), (a,), backward)
 
 
 def round_ste(a: Tensor, lo=None, hi=None) -> Tensor:
@@ -354,30 +330,24 @@ def round_ste(a: Tensor, lo=None, hi=None) -> Tensor:
     data = np.rint(a.data)
     if lo is not None or hi is not None:
         data = np.clip(data, lo, hi)
-    out = Tensor(data, requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        def backward(g):
-            a._accumulate(g)
-        _record(out, backward)
-    return out
+    def backward(g):
+        a._accumulate(g)
+    return node(data, (a,), backward)
 
 
 def tsum(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
+    def backward(g):
         in_shape = a.shape
-        def backward(g):
-            if axis is None:
-                a._accumulate(np.broadcast_to(g, in_shape).copy() if np.ndim(g) else np.full(in_shape, g, dtype=a.dtype))
-            else:
-                gg = g
-                if not keepdims:
-                    axes = axis if isinstance(axis, tuple) else (axis,)
-                    for ax in sorted(ax % len(in_shape) for ax in axes):
-                        gg = np.expand_dims(gg, ax)
-                a._accumulate(np.broadcast_to(gg, in_shape).copy())
-        _record(out, backward)
-    return out
+        if axis is None:
+            a._accumulate(np.broadcast_to(g, in_shape).copy() if np.ndim(g) else np.full(in_shape, g, dtype=a.dtype))
+        else:
+            gg = g
+            if not keepdims:
+                axes = axis if isinstance(axis, tuple) else (axis,)
+                for ax in sorted(ax % len(in_shape) for ax in axes):
+                    gg = np.expand_dims(gg, ax)
+            a._accumulate(np.broadcast_to(gg, in_shape).copy())
+    return node(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -392,76 +362,52 @@ def tmean(a: Tensor, axis=None, keepdims=False) -> Tensor:
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor(a.data.reshape(shape), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        in_shape = a.shape
-        def backward(g):
-            a._accumulate(g.reshape(in_shape))
-        _record(out, backward)
-    return out
+    def backward(g):
+        a._accumulate(g.reshape(a.shape))
+    return node(a.data.reshape(shape), (a,), backward)
 
 
 def transpose(a: Tensor, axes) -> Tensor:
     axes = tuple(axes)
-    out = Tensor(a.data.transpose(axes), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        inverse = tuple(np.argsort(axes))
-        def backward(g):
-            a._accumulate(g.transpose(inverse))
-        _record(out, backward)
-    return out
+    def backward(g):
+        a._accumulate(g.transpose(tuple(np.argsort(axes))))
+    return node(a.data.transpose(axes), (a,), backward)
 
 
 def take(a: Tensor, idx) -> Tensor:
     """Basic (slice/int) indexing; fancy indexing is not supported."""
-    out = Tensor(a.data[idx], requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        in_shape = a.shape
-        def backward(g):
-            buf = np.zeros(in_shape, dtype=a.dtype)
-            buf[idx] += g
-            a._accumulate(buf)
-        _record(out, backward)
-    return out
+    def backward(g):
+        buf = np.zeros(a.shape, dtype=a.dtype)
+        buf[idx] += g
+        a._accumulate(buf)
+    return node(a.data[idx], (a,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     tensors = list(tensors)
-    out_data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = Tensor(out_data, requires_grad=_should_record(*tensors), dtype=tensors[0].dtype)
-    if out.requires_grad:
-        sizes = [t.shape[axis] for t in tensors]
-        def backward(g):
-            start = 0
-            for t, n in zip(tensors, sizes):
-                if t.requires_grad:
-                    sl = [slice(None)] * g.ndim
-                    sl[axis] = slice(start, start + n)
-                    t._accumulate(g[tuple(sl)])
-                start += n
-        _record(out, backward)
-    return out
+    def backward(g):
+        start = 0
+        for t in tensors:
+            n = t.shape[axis]
+            if t.requires_grad:
+                sl = [slice(None)] * g.ndim
+                sl[axis] = slice(start, start + n)
+                t._accumulate(g[tuple(sl)])
+            start += n
+    return node(np.concatenate([t.data for t in tensors], axis=axis), tensors, backward)
 
 
 def maximum(a: Tensor, floor: float) -> Tensor:
     """Elementwise max with a constant; gradient flows where a >= floor."""
-    out = Tensor(np.maximum(a.data, floor), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        ad = a.data
-        def backward(g):
-            a._accumulate(g * (ad >= floor))
-        _record(out, backward)
-    return out
+    def backward(g):
+        a._accumulate(g * (a.data >= floor))
+    return node(np.maximum(a.data, floor), (a,), backward)
 
 
 def minimum(a: Tensor, ceil: float) -> Tensor:
-    out = Tensor(np.minimum(a.data, ceil), requires_grad=_should_record(a), dtype=a.dtype)
-    if out.requires_grad:
-        ad = a.data
-        def backward(g):
-            a._accumulate(g * (ad <= ceil))
-        _record(out, backward)
-    return out
+    def backward(g):
+        a._accumulate(g * (a.data <= ceil))
+    return node(np.minimum(a.data, ceil), (a,), backward)
 
 
 def backward(loss: Tensor) -> None:

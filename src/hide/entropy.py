@@ -43,26 +43,22 @@ def channel_split(total: int, slices: int) -> List[int]:
     return [base + (1 if i < rem else 0) for i in range(slices)]
 
 
-def quantize(y: Tensor, mu: Tensor, mode: str, rng: Optional[np.random.Generator] = None):
-    """Quantize a latent slice.
-
-    round: m = clamp(round(y - mu), SYMBOL_MIN, SYMBOL_MAX), y_hat = m + mu,
-    with straight-through gradients through the rounding.  noise: returns
-    y + u with u ~ U(-0.5, 0.5) and no symbols (training rate term).
-    """
+def quantize(y: Tensor, mu: Tensor):
+    """Round a latent slice about its mean: (y_hat, symbols) with
+    m = clamp(round(y - mu), SYMBOL_MIN, SYMBOL_MAX) and y_hat = m + mu,
+    with straight-through gradients through the rounding."""
     if y.shape != mu.shape:
         raise ShapeError(f"quantize shape mismatch: {y.shape} vs {mu.shape}")
-    if mode == "round":
-        centered = T.sub(y, mu)
-        m = T.round_ste(centered, SYMBOL_MIN, SYMBOL_MAX)
-        y_hat = T.add(m, mu)
-        return y_hat, m.numpy().astype(np.int64)
-    if mode == "noise":
-        if rng is None:
-            raise ShapeError("noise mode requires an rng")
-        u = rng.uniform(-0.5, 0.5, size=y.shape).astype(y.dtype)
-        return T.add(y, Tensor(u, dtype=y.dtype)), None
-    raise ShapeError(f"unknown quantize mode {mode!r}")
+    centered = T.sub(y, mu)
+    m = T.round_ste(centered, SYMBOL_MIN, SYMBOL_MAX)
+    y_hat = T.add(m, mu)
+    return y_hat, m.numpy().astype(np.int64)
+
+
+def add_noise(y: Tensor, rng: np.random.Generator) -> Tensor:
+    """y + u with u ~ U(-0.5, 0.5): the training stand-in for rounding."""
+    u = rng.uniform(-0.5, 0.5, size=y.shape).astype(y.dtype)
+    return T.add(y, Tensor(u, dtype=y.dtype))
 
 
 def likelihood(value: Tensor, mu: Tensor, sigma: Tensor) -> Tensor:
@@ -228,7 +224,7 @@ class SliceEntropyModel(nn.Module):
                 i, hyper_ctx, decoded, keep_attention=keep_attention)
             index, sigma = snap_scale(sigma)
             if y_slices is not None:
-                _, m = quantize(y_slices[i], mu, "round")
+                _, m = quantize(y_slices[i], mu)
             else:
                 m = symbol_source(i, index)
             y_hat = T.add(Tensor(m.astype(mu.dtype), dtype=mu.dtype), mu)
@@ -261,12 +257,12 @@ class SliceEntropyModel(nn.Module):
             y_i = y[:, start:start + self.split[i]]
             start += self.split[i]
             mu, sigma, s, _ = self.slice_params(i, hyper_ctx, decoded)
-            noisy, _ = quantize(y_i, mu, "noise", rng=rng)
+            noisy = add_noise(y_i, rng)
             p = likelihood(noisy, mu, sigma)
             r_bits = rate_bits(p)
             rate_total = r_bits if rate_total is None else T.add(rate_total, r_bits)
             if recon_mode == "ste":
-                y_hat, _ = quantize(y_i, mu, "round")
+                y_hat, _ = quantize(y_i, mu)
             else:
                 y_hat = noisy
             r = self.slice_residual(i, s, y_hat)

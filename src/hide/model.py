@@ -14,9 +14,9 @@ from .constants import SYMBOL_MAX, SYMBOL_MIN
 from .entropy import (
     ChannelPrior,
     SliceEntropyModel,
+    add_noise,
     likelihood,
     mse_255,
-    quantize,
     rate_bits,
     rd_loss,
 )
@@ -73,8 +73,7 @@ class CompressionModel(nn.Module):
         z = self.hyper_analysis(y)
 
         mu_z, sigma_z = self.hyper_prior.broadcast()
-        zero_mu = Tensor(np.zeros(z.shape, dtype=self.dtype), dtype=self.dtype)
-        z_noisy, _ = quantize(z, zero_mu, "noise", rng=rng)
+        z_noisy = add_noise(z, rng)
         z_hat = T.round_ste(z) if recon_mode == "ste" else z_noisy
         rate_z = rate_bits(likelihood(z_noisy, mu_z, sigma_z))
 

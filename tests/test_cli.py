@@ -123,6 +123,13 @@ class TestUsageErrors:
         assert len(err.splitlines()) == 1 and f"unknown variant {bad}" in err
         assert not out.exists()
 
+    def test_bad_train_variant_is_an_error_line(self, tmp_path, capsys):
+        out = tmp_path / "x.hide"
+        assert main(["train", "--variant", "bogus", "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: unknown variant 'bogus'")
+        assert not out.exists()
+
     def test_corrupt_payload_is_an_error_line(self, tmp_path, workspace, capsys):
         _, _, img_path = workspace
         ckpt = str(tmp_path / "m.hide")

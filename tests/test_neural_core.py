@@ -8,9 +8,12 @@ import pytest
 from scipy.special import erf as scipy_erf
 
 import hide.core as C
-from hide.core import Tensor, backward, ops
+from hide import codec
+from hide.config import ModelConfig
+from hide.core import Tensor, backward, ops, tensor
 from hide.core.tensor import _ERF_BLOCK
 from hide.errors import HideError, NonFiniteError, ShapeError
+from hide.model import CompressionModel
 
 from conftest import check_gradients
 
@@ -483,6 +486,62 @@ class TestBackward:
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal(3)
         check_gradients(lambda ts: ((ts[0] + ts[1]) * (ts[0] - ts[1])).sum(), [a, b])
+
+
+def _tiny_model():
+    return CompressionModel(ModelConfig(variant="hide", seed=0, M=8, s=2, hyper_channels=4,
+                                        C_d=16, N_G=4, N_D=4, heads=2, C_ctx=8))
+
+
+def _every_op(requires_grad):
+    """One call of each op that can record, on inputs of the given kind."""
+    rng = np.random.default_rng(0)
+    a, b, c = (Tensor(rng.uniform(0.5, 1.5, shape), requires_grad=requires_grad)
+               for shape in ((2, 3), (2, 3), (3, 2)))
+    x = Tensor(rng.standard_normal((1, 2, 5, 5)), requires_grad=requires_grad)
+    w = Tensor(rng.standard_normal((2, 2, 3, 3)), requires_grad=requires_grad)
+    bias = Tensor(rng.standard_normal(2), requires_grad=requires_grad)
+    return [a + b, a - b, a * b, a / b, a ** 2.0, tensor.matmul(a, c), tensor.exp(a),
+            tensor.log(a), tensor.tanh(a), C.erf(a), C.softplus(a), C.round_ste(a), a.sum(),
+            a.reshape(3, 2), a.transpose(1, 0), a[0], C.concat([a, b], axis=0),
+            C.maximum(a, 1.0), C.minimum(a, 1.0), ops.conv2d(x, w, bias, padding=1),
+            ops.conv_transpose2d(x, w, bias, stride=2, padding=1)]
+
+
+class TestTape:
+    def test_every_entry_comes_from_node(self, monkeypatch):
+        recorded = []
+        real_node = tensor.node
+
+        def counting_node(data, inputs, backward_fn):
+            out = real_node(data, inputs, backward_fn)
+            if out.requires_grad:
+                recorded.append(out)
+            return out
+
+        monkeypatch.setattr(tensor, "node", counting_node)
+        x = np.random.default_rng(1).uniform(0, 1, (2, 3, 64, 64))
+        loss, _, _ = _tiny_model().train_loss(x, np.random.default_rng(2))
+        assert C.tape_size() == len(recorded) > 0
+        backward(loss)
+        assert C.tape_size() == 0
+
+    def test_ops_without_gradients_record_nothing(self):
+        outs = _every_op(requires_grad=False)
+        assert C.tape_size() == 0 and not any(o.requires_grad for o in outs)
+        with C.no_grad():
+            outs = _every_op(requires_grad=True)
+        assert C.tape_size() == 0 and not any(o.requires_grad for o in outs)
+        assert all(o.requires_grad for o in _every_op(requires_grad=True))
+        assert C.tape_size() == len(outs)
+
+    def test_codec_records_nothing(self):
+        model = _tiny_model()
+        image = np.random.default_rng(3).uniform(0, 1, (3, 40, 24))
+        encoded = codec.encode_image(model, image)
+        assert C.tape_size() == 0
+        codec.decode_image(model, encoded.data)
+        assert C.tape_size() == 0
 
 
 class TestDeterminism:
