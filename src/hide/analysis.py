@@ -7,6 +7,9 @@ the entries are used (log2 N bits = perfectly balanced, 0 = collapsed).
 
 Entropy maps sum per-element -log2 p over channels at each latent
 position; their total equals the model's rate estimate for the image.
+
+Every report reads the slice records of one codec forward per image
+(`slice_records`), taken through the same input path as `encode_image`.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from typing import Dict, List, Sequence
 import numpy as np
 
 from . import ppm
+from .codec import codec_input
 from .core.checkpoint import MAX_RANK
 from .core.tensor import Tensor
 from .entropy import likelihood
@@ -110,27 +114,23 @@ class UtilizationReport:
         return out
 
 
-# the SliceRecord field that holds each dictionary's attention maps
-_ATTENTION_FIELD = {"global": "attn_global", "single": "attn_global", "detail": "attn_detail"}
+def slice_records(model: CompressionModel, img: np.ndarray) -> list:
+    """The per-slice records, attention kept, of one codec forward of an
+    image given as the codec takes it ([3,H,W], 8-bit or in [0, 1])."""
+    return model.encode_forward(codec_input(img), keep_attention=True)["bundle"].slices
 
 
-def collect_attention(model: CompressionModel, images: Sequence[np.ndarray]):
-    """Run the codec forward over images, keeping per-slice attention."""
-    maps: Dict[str, List[np.ndarray]] = {
-        name: [] for name in model.entropy.dict_ctx.dictionaries()}
-    from .codec import pad_image
-    for img in images:
-        fwd = model.encode_forward(pad_image(np.asarray(img, dtype=np.float64)),
-                                   keep_attention=True)
-        for rec in fwd["bundle"].slices:
-            for name, collected in maps.items():
-                collected.append(getattr(rec, _ATTENTION_FIELD[name]))
-    return maps
+def _attention_maps(records: list) -> Dict[str, List[np.ndarray]]:
+    """Each dictionary's attention maps, in record order; a single-level
+    dictionary keeps its maps where the global one does."""
+    if records[0].attn_detail is None:
+        return {"single": [rec.attn_global for rec in records]}
+    return {"global": [rec.attn_global for rec in records],
+            "detail": [rec.attn_detail for rec in records]}
 
 
-def utilization_report(model: CompressionModel,
-                       images: Sequence[np.ndarray]) -> UtilizationReport:
-    maps = collect_attention(model, images)
+def _utilization(records_per_image: Sequence[list]) -> UtilizationReport:
+    maps = _attention_maps([rec for records in records_per_image for rec in records])
     usage, dist, ent = {}, {}, {}
     for name, collected in maps.items():
         u = usage_from_attention(collected)
@@ -141,21 +141,19 @@ def utilization_report(model: CompressionModel,
     return UtilizationReport(usage=usage, distribution=dist, entropy_bits=ent)
 
 
-def attention_heatmaps(model: CompressionModel,
-                       img: np.ndarray) -> Dict[str, Dict[int, np.ndarray]]:
+def utilization_report(model: CompressionModel,
+                       images: Sequence[np.ndarray]) -> UtilizationReport:
+    return _utilization([slice_records(model, img) for img in images])
+
+
+def attention_heatmaps(records: list) -> Dict[str, Dict[int, np.ndarray]]:
     """Spatial attention maps (head- and slice-averaged) of the TOP_K most
-    used entries of each dictionary, for one image."""
-    from .codec import pad_image
-    padded = pad_image(np.asarray(img, dtype=np.float64))
-    records = model.encode_forward(padded, keep_attention=True)["bundle"].slices
+    used entries of each dictionary, from one image's slice records."""
     grid = records[0].y_hat.shape[2:]
     out: Dict[str, Dict[int, np.ndarray]] = {}
-    for name in model.entropy.dict_ctx.dictionaries():
-        per_slice = []
-        for rec in records:
-            attn = getattr(rec, _ATTENTION_FIELD[name])
-            per_slice.append(attn.mean(axis=0))          # heads averaged -> [T, N]
-        mean_attn = np.mean(per_slice, axis=0)           # slices averaged
+    for name, maps in _attention_maps(records).items():
+        per_slice = [attn.mean(axis=0) for attn in maps]   # heads averaged -> [T, N]
+        mean_attn = np.mean(per_slice, axis=0)             # slices averaged
         usage = mean_attn.mean(axis=0)
         top = np.argsort(-usage)[:TOP_K]
         out[name] = {int(e): mean_attn[:, e].reshape(grid) for e in top}
@@ -171,14 +169,13 @@ class EntropyMap:
     per_slice: List[Dict[str, np.ndarray]]
 
 
-def entropy_map(model: CompressionModel, img: np.ndarray) -> EntropyMap:
-    from .codec import pad_image
-    padded = pad_image(np.asarray(img, dtype=np.float64))
-    fwd = model.encode_forward(padded)
+def entropy_map(records: list) -> EntropyMap:
+    """Bits per latent position, and each slice's parameters, from one
+    image's slice records."""
     bits_map = None
     per_slice = []
     total = 0.0
-    for rec in fwd["bundle"].slices:
+    for rec in records:
         centered = rec.y_hat - rec.mu
         z = centered / rec.sigma
         p = likelihood(*(Tensor(a, dtype=a.dtype) for a in (rec.y_hat, rec.mu, rec.sigma)))
@@ -197,17 +194,18 @@ def write_analysis_outputs(model: CompressionModel, images: Sequence[np.ndarray]
                            out_dir: str) -> List[str]:
     """Emit the analyze artifacts; returns the report lines."""
     os.makedirs(out_dir, exist_ok=True)
-    report = utilization_report(model, images)
+    records = [slice_records(model, img) for img in images]
+    report = _utilization(records)
     lines = report.lines()
     for name in report.usage:
         save_matrix(os.path.join(out_dir, f"usage_{name}.mat"), report.usage[name])
-    heat = attention_heatmaps(model, images[0])
+    heat = attention_heatmaps(records[0])
     for name, entries in heat.items():
         for entry, grid in entries.items():
             ppm.write_pgm(os.path.join(out_dir, f"attn_{name}_entry{entry:03d}.pgm"),
                           scale_to_uint8(grid))
             save_matrix(os.path.join(out_dir, f"attn_{name}_entry{entry:03d}.mat"), grid)
-    emap = entropy_map(model, images[0])
+    emap = entropy_map(records[0])
     ppm.write_pgm(os.path.join(out_dir, "entropy_map.pgm"), scale_to_uint8(emap.bits_map))
     save_matrix(os.path.join(out_dir, "entropy_map.mat"), emap.bits_map)
     for i, tensors in enumerate(emap.per_slice):

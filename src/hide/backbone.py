@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import nn, ops
+from .core import tensor as T
 from .core.tensor import Tensor
 
 WIDTHS = (24, 32, 48)
@@ -25,7 +26,6 @@ class ResidualBlock(nn.Module):
         self.second = nn.Conv2d(c, c, 3, rng, padding=1)
 
     def __call__(self, x: Tensor) -> Tensor:
-        from .core import tensor as T
         return T.add(self.second(ops.gelu(self.first(x))), x)
 
 

@@ -135,7 +135,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_analyze(args) -> int:
     model = load_model(args.checkpoint)
-    images = [ppm.to_unit_float(ppm.read_ppm(p)) for p in args.images]
+    images = [ppm.read_ppm(p) for p in args.images]
     lines = analysis.write_analysis_outputs(model, images, args.out)
     for line in lines:
         print(line)

@@ -62,29 +62,25 @@ class DecodeResult:
     slice_records: list
 
 
-def pad_image(img: np.ndarray) -> np.ndarray:
-    """Replicate-pad bottom/right to a multiple of the transform factor."""
-    _, h, w = img.shape
-    ph = (-h) % SPATIAL_FACTOR
-    pw = (-w) % SPATIAL_FACTOR
-    if ph == 0 and pw == 0:
-        return img
-    return np.pad(img, ((0, 0), (0, ph), (0, pw)), mode="edge")
-
-
 def _check_size(width: int, height: int, error) -> None:
     if width < 1 or height < 1 or width * height > MAX_PIXELS:
         raise error(f"image size {width}x{height} is not within 1..{MAX_PIXELS} pixels")
 
 
-def _as_unit_float(img: np.ndarray) -> np.ndarray:
+def codec_input(img: np.ndarray) -> np.ndarray:
+    """Check a [3,H,W] image, scale 8-bit values to [0, 1] and
+    replicate-pad bottom/right to a multiple of the transform factor."""
     img = np.asarray(img)
     if img.ndim != 3 or img.shape[0] != 3:
         raise ShapeError(f"expected [3,H,W] image, got {img.shape}")
-    _check_size(img.shape[2], img.shape[1], ShapeError)
-    if img.dtype == np.uint8:
-        return img.astype(np.float64) / 255.0
-    return img.astype(np.float64)
+    _, h, w = img.shape
+    _check_size(w, h, ShapeError)
+    unit = img.astype(np.float64) / 255.0 if img.dtype == np.uint8 else img.astype(np.float64)
+    ph = (-h) % SPATIAL_FACTOR
+    pw = (-w) % SPATIAL_FACTOR
+    if ph == 0 and pw == 0:
+        return unit
+    return np.pad(unit, ((0, 0), (0, ph), (0, pw)), mode="edge")
 
 
 def _hyper_cdf_rows(model: CompressionModel, spatial: int):
@@ -97,9 +93,8 @@ def _hyper_cdf_rows(model: CompressionModel, spatial: int):
 
 
 def encode_image(model: CompressionModel, img: np.ndarray) -> EncodeResult:
-    unit = _as_unit_float(img)
-    _, height, width = unit.shape
-    padded = pad_image(unit)
+    padded = codec_input(img)
+    _, height, width = np.shape(img)
 
     fwd = model.encode_forward(padded)
     z_sym = fwd["z_symbols"]

@@ -1,8 +1,9 @@
 """Model configuration: flat key=value text files, canonical hashing.
 
-Config keys use the architecture's own names (M, s, C_d, ...).  The
-"lambda" key maps to the ``lam`` attribute because of the Python
-keyword.  Variants select which modules a model instantiates:
+Config keys use the architecture's own names (M, s, C_d, ...), each on
+at most one line.  The "lambda" key maps to the ``lam`` attribute
+because of the Python keyword; ``lam`` itself is not a key.  Variants
+select which modules a model instantiates:
 
     baseline  single-level dictionary + shallow estimator
     hd        hierarchical dictionaries + shallow estimator
@@ -28,7 +29,6 @@ _VARIANT_ALIASES = {
     "hide": "hide", "hd+cape": "hide",
 }
 
-_KEY_TO_ATTR = {"lambda": "lam"}
 _ATTR_TO_KEY = {"lam": "lambda"}
 # integer keys that count something and must be at least 1
 _SIZE_KEYS = ("M", "s", "hyper_channels", "C_d", "N_G", "N_D", "heads", "C_ctx",
@@ -107,20 +107,21 @@ def parse_config_text(text: str) -> ModelConfig:
         if "=" not in line:
             raise ConfigError(f"config line {lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
-        attr = _KEY_TO_ATTR.get(key, key)
-        values[attr] = (value, lineno)
+        if key in values:
+            raise ConfigError(f"config lines {values[key][1]} and {lineno} both set {key}")
+        values[key] = (value, lineno)
     defaults = ModelConfig()
     kwargs = {}
     for f in fields(ModelConfig):
-        if f.name not in values:
+        key = _ATTR_TO_KEY.get(f.name, f.name)
+        if key not in values:
             continue
-        raw, lineno = values.pop(f.name)
+        raw, lineno = values.pop(key)
         current = getattr(defaults, f.name)
         kind = int if isinstance(current, int) else float if isinstance(current, float) else str
         try:
             kwargs[f.name] = kind(raw)
         except ValueError:
-            key = _ATTR_TO_KEY.get(f.name, f.name)
             raise ConfigError(f"config line {lineno}: {key} must be {kind.__name__}, "
                               f"got {raw!r}") from None
     if values:

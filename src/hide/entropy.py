@@ -87,13 +87,11 @@ def mse_255(x: Tensor, x_hat: Tensor) -> Tensor:
     return T.tmean(T.mul(diff, diff))
 
 
-def rd_loss(x: Tensor, x_hat: Tensor, rate_y: Tensor, rate_z: Tensor,
-            lam: float, num_pixels: int) -> Tensor:
+def rd_loss(bpp: Tensor, mse: Tensor, lam: float) -> Tensor:
     """L = bits-per-pixel + lambda * distortion."""
     if lam <= 0:
         raise ShapeError("lambda must be positive")
-    bpp = T.mul(T.add(rate_y, rate_z), 1.0 / num_pixels)
-    return T.add(bpp, T.mul(mse_255(x, x_hat), lam))
+    return T.add(bpp, T.mul(mse, lam))
 
 
 class ChannelPrior(nn.Module):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .backbone import AnalysisTransform, HyperAnalysis, HyperSynthesis, SynthesisTransform
-from .config import ModelConfig
+from .config import ModelConfig, parse_config_text
 from .core import checkpoint as ckpt
 from .core import nn
 from .core import tensor as T
@@ -62,7 +62,8 @@ class CompressionModel(nn.Module):
                    recon_mode: str = "ste"):
         """RD loss over a batch of [B,3,H,W] images in [0, 1].
 
-        Returns (loss, bpp_estimate, mse) tensors.  recon_mode "noise"
+        Returns (loss, bpp_estimate, mse) tensors; loss is built from
+        the returned bpp and mse nodes.  recon_mode "noise"
         keeps every path smooth for finite-difference checks.
         """
         xt = self.as_input(x)
@@ -81,9 +82,9 @@ class CompressionModel(nn.Module):
         y_bar, rate_y = self.entropy.training_pass(y, hyper_ctx, rng,
                                                    recon_mode=recon_mode)
         x_hat = self.synthesis(y_bar)
-        loss = rd_loss(xt, x_hat, rate_y, rate_z, self.config.lam, num_pixels)
         bpp = T.mul(T.add(rate_y, rate_z), 1.0 / num_pixels)
-        return loss, bpp, mse_255(xt, x_hat)
+        mse = mse_255(xt, x_hat)
+        return rd_loss(bpp, mse, self.config.lam), bpp, mse
 
     # -- deterministic codec-side forward ---------------------------------
     def encode_forward(self, x: np.ndarray, keep_attention: bool = False):
@@ -149,7 +150,6 @@ class CompressionModel(nn.Module):
 
 
 def load_model(path: str) -> CompressionModel:
-    from .config import parse_config_text
     arrays, config_text = ckpt.load_checkpoint(path)
     if not config_text:
         raise ConfigError(f"checkpoint {path} carries no configuration record")

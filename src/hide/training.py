@@ -16,6 +16,7 @@ import numpy as np
 
 from .config import ModelConfig
 from .core import backward
+from .core import checkpoint as ckpt
 from .core.adam import Adam
 from .data import make_corpus
 from .errors import ConfigError, NonFiniteError, TrainingDiverged
@@ -53,8 +54,7 @@ def train_model(config: ModelConfig, corpus: Optional[np.ndarray] = None,
     """
     model = CompressionModel(config)
     if init_from is not None:
-        from .core.checkpoint import load_checkpoint
-        arrays, _ = load_checkpoint(init_from)
+        arrays, _ = ckpt.load_checkpoint(init_from)
         model.load_state_arrays(arrays)
 
     if corpus is None:

@@ -9,8 +9,9 @@ import numpy as np
 import pytest
 
 import hide.analysis as an
+from hide import ppm
 from hide.config import ModelConfig
-from hide.errors import FormatError, HideError
+from hide.errors import FormatError, HideError, ShapeError
 from hide.model import CompressionModel
 
 
@@ -85,19 +86,19 @@ class TestUsageAggregation:
 
 class TestEntropyMap:
     def test_bookkeeping_identity(self, model, images):
-        emap = an.entropy_map(model, images[0])
+        emap = an.entropy_map(an.slice_records(model, images[0]))
         enc_estimate = sum(r.bits for r in model.encode_forward(
             np.asarray(images[0])).get("bundle").slices)
         assert abs(emap.bits_map.sum() - emap.total_bits) <= 1e-6 * emap.total_bits
         assert abs(emap.total_bits - enc_estimate) <= 1e-6 * enc_estimate
 
     def test_sigma_maps_respect_floor(self, model, images):
-        emap = an.entropy_map(model, images[0])
+        emap = an.entropy_map(an.slice_records(model, images[0]))
         for tensors in emap.per_slice:
             assert (tensors["sigma"] >= 0.04).all()
 
     def test_map_shape(self, model, images):
-        emap = an.entropy_map(model, images[0])
+        emap = an.entropy_map(an.slice_records(model, images[0]))
         assert emap.bits_map.shape == (4, 4)
 
 
@@ -165,6 +166,30 @@ class TestAnalysisOutputs:
         assert "usage_global.mat" in files
         assert any(f.startswith("attn_detail_entry") for f in files)
         assert "report.txt" in files
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_forward_per_image(self, tmp_path, model, images, n, monkeypatch):
+        calls = []
+        encode_forward = CompressionModel.encode_forward
+
+        def counted(self, *args, **kwargs):
+            calls.append(1)
+            return encode_forward(self, *args, **kwargs)
+
+        monkeypatch.setattr(CompressionModel, "encode_forward", counted)
+        an.write_analysis_outputs(model, images[:n], str(tmp_path / "analysis"))
+        assert len(calls) == n
+
+    def test_uint8_images_read_at_codec_scale(self, tmp_path, model, images):
+        u8 = [ppm.to_uint8(img) for img in images]
+        an.write_analysis_outputs(model, u8, str(tmp_path / "u8"))
+        an.write_analysis_outputs(model, [img / 255.0 for img in u8], str(tmp_path / "unit"))
+        written = {f.name: f.read_bytes() for f in (tmp_path / "u8").iterdir()}
+        assert written == {f.name: f.read_bytes() for f in (tmp_path / "unit").iterdir()}
+
+    def test_channels_last_image_rejected(self, model):
+        with pytest.raises(ShapeError, match=r"expected \[3,H,W\] image"):
+            an.slice_records(model, np.zeros((64, 64, 3)))
 
     # sha256 of every file written for the tiny models; float64, so a
     # refactor of the engine or of the analysis code must keep every byte

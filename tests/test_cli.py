@@ -93,14 +93,23 @@ class TestUsageErrors:
         "patch_size=100", "lambda=0", "lambda=-0.01", "lambda=nan", "lambda=inf",
         "lr=0", "lr=-1e-4", "lr=nan", "lr=inf"])
     def test_out_of_range_config_value_is_an_error_line(self, tmp_path, capsys, line):
+        key = line.split("=")[0]
         bad = tmp_path / "bad.cfg"
-        bad.write_text(TINY_CONFIG + line + "\n")
+        bad.write_text("".join(f"{ln}\n" for ln in TINY_CONFIG.splitlines()
+                               if not ln.startswith(key + "=")) + line + "\n")
         out = tmp_path / "x.hide"
         assert main(["train", "--config", str(bad), "--out", str(out)]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert len(err.splitlines()) == 1 and line.split("=")[0] in err
         assert not out.exists()
+
+    def test_repeated_config_key_is_an_error_line(self, tmp_path, capsys):
+        dup = tmp_path / "dup.cfg"
+        dup.write_text(TINY_CONFIG + "M=16\n")
+        assert main(["train", "--config", str(dup), "--out", str(tmp_path / "x.hide")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: config lines 4 and 15 both set M\n"
 
     @pytest.mark.parametrize("lambdas, bad", [("abc", "'abc'"), (",", "''"),
                                               ("0.01,,0.02", "''"), ("0.01,-1", "'-1'"),

@@ -400,6 +400,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match="unknown config keys"):
             parse_config_text("bogus=1\n")
 
+    def test_repeated_key_names_both_lines(self):
+        with pytest.raises(ConfigError, match="^config lines 1 and 3 both set M$"):
+            parse_config_text("M=8\ns=2\nM=16\n")
+
+    @pytest.mark.parametrize("text", ["lam=0.05\n", "lambda=0.05\nlam=0.01\n"],
+                             ids=["lam", "lambda-then-lam"])
+    def test_lam_is_not_a_key(self, text):
+        with pytest.raises(ConfigError, match=r"unknown config keys: \['lam'\]"):
+            parse_config_text(text)
+
     def test_non_numeric_value_rejected(self):
         with pytest.raises(ConfigError, match="line 2: lambda must be float"):
             parse_config_text("M=8\nlambda=abc\n")

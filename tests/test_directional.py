@@ -30,7 +30,7 @@ class TestLowRateBehavior:
 
     def test_constant_image_entropy_map_low_variance(self, low_rate_model):
         model, _ = low_rate_model
-        emap = an.entropy_map(model, np.full((3, 64, 64), 0.5))
+        emap = an.entropy_map(an.slice_records(model, np.full((3, 64, 64), 0.5)))
         spread = emap.bits_map.max() - emap.bits_map.min()
         assert spread < 2.0 * emap.bits_map.mean()
 

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 import hide.entropy as ent
+import hide.model as model_module
 from hide.config import ModelConfig
 from hide.constants import P_MIN, SIGMA_MAX
 from hide.core import Tensor, backward, no_grad
+from hide.core import tensor as T
 from hide.errors import ShapeError
 from hide.model import CompressionModel
 
@@ -101,17 +103,40 @@ class TestRateBits:
 class TestRdLoss:
     def test_identical_images_rate_only(self, rng):
         x = Tensor(rng.uniform(0, 1, size=(1, 3, 4, 4)))
-        loss = ent.rd_loss(x, x, Tensor(np.array(8.0)), Tensor(np.array(8.0)),
-                           lam=0.0035, num_pixels=16)
+        bpp = T.mul(T.add(Tensor(np.array(8.0)), Tensor(np.array(8.0))), 1.0 / 16)
+        loss = ent.rd_loss(bpp, ent.mse_255(x, x), lam=0.0035)
         assert abs(loss.item() - 1.0) < 1e-12
 
     def test_textbook_arithmetic(self):
         # bpp 0.5 with distortion 100 at lambda 0.0035 -> 0.85
         x = Tensor(np.zeros((1, 1, 2, 2)))
         x_hat = Tensor(np.full((1, 1, 2, 2), 10.0 / 255.0))
-        loss = ent.rd_loss(x, x_hat, Tensor(np.array(1.0)), Tensor(np.array(1.0)),
-                           lam=0.0035, num_pixels=4)
+        bpp = T.mul(T.add(Tensor(np.array(1.0)), Tensor(np.array(1.0))), 1.0 / 4)
+        loss = ent.rd_loss(bpp, ent.mse_255(x, x_hat), lam=0.0035)
         assert abs(loss.item() - 0.85) < 1e-12
+
+    def test_lambda_must_be_positive(self):
+        with pytest.raises(ShapeError, match="lambda must be positive"):
+            ent.rd_loss(Tensor(np.array(1.0)), Tensor(np.array(1.0)), lam=0.0)
+
+    def test_train_loss_adds_the_terms_it_returns(self, rng, monkeypatch):
+        # one mse_255 call per step, wherever it is looked up from, and the
+        # loss is the returned bpp plus lambda times the returned mse
+        calls = []
+        mse_255 = ent.mse_255
+
+        def counted(x, x_hat):
+            calls.append(1)
+            return mse_255(x, x_hat)
+
+        monkeypatch.setattr(ent, "mse_255", counted)
+        monkeypatch.setattr(model_module, "mse_255", counted)
+        cfg = tiny_config()
+        loss, bpp, mse = CompressionModel(cfg).train_loss(
+            rng.uniform(0, 1, size=(1, 3, 64, 64)), np.random.default_rng(0))
+        assert len(calls) == 1
+        expect = bpp.numpy() + mse.numpy() * np.asarray(cfg.lam, dtype=mse.dtype)
+        assert loss.numpy().tobytes() == expect.tobytes()
 
     def test_gradients_finite_and_nonzero_at_init(self, rng):
         model = CompressionModel(tiny_config())
