@@ -14,7 +14,6 @@ Every report reads the slice records of one codec forward per image
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
@@ -23,45 +22,13 @@ import numpy as np
 
 from . import ppm
 from .codec import codec_input
-from .core.checkpoint import MAX_RANK
 from .core.tensor import Tensor
 from .entropy import likelihood
-from .errors import FormatError, HideError
+from .errors import HideError
 from .model import CompressionModel
 
 # entries per dictionary whose attention maps the heatmaps show
 TOP_K = 4
-
-
-# -- matrix dump format: one ASCII header line, then little-endian f32 ----
-
-def save_matrix(path: str, arr: np.ndarray) -> None:
-    arr = np.asarray(arr, dtype=np.float32)
-    header = " ".join([str(arr.ndim)] + [str(d) for d in arr.shape]) + "\n"
-    with open(path, "wb") as fh:
-        fh.write(header.encode("ascii"))
-        fh.write(arr.astype("<f4", copy=False).tobytes())
-
-
-def load_matrix(path: str) -> np.ndarray:
-    with open(path, "rb") as fh:
-        try:
-            header = [int(f) for f in fh.readline().decode("ascii").split()]
-        except ValueError as e:   # UnicodeDecodeError is a ValueError too
-            raise FormatError(f"{path}: matrix header is not ascii integers: {e}") from None
-        if not header:
-            raise FormatError(f"{path}: empty matrix header")
-        rank = header[0]
-        if len(header) != rank + 1:
-            raise FormatError(f"{path}: header rank {rank} but {len(header) - 1} dims")
-        shape = tuple(header[1:])
-        if rank > MAX_RANK or min(shape, default=0) < 0:
-            raise FormatError(f"{path}: bad matrix shape {shape}")
-        nbytes = 4 * math.prod(shape)
-        if nbytes > os.fstat(fh.fileno()).st_size - fh.tell():
-            raise FormatError(f"{path}: truncated matrix payload")
-        payload = fh.read(nbytes)
-    return np.frombuffer(payload, dtype="<f4").reshape(shape).astype(np.float32)
 
 
 def scale_to_uint8(arr: np.ndarray) -> np.ndarray:
@@ -130,6 +97,8 @@ def _attention_maps(records: list) -> Dict[str, List[np.ndarray]]:
 
 
 def _utilization(records_per_image: Sequence[list]) -> UtilizationReport:
+    if not records_per_image:
+        raise HideError("no images supplied")
     maps = _attention_maps([rec for records in records_per_image for rec in records])
     usage, dist, ent = {}, {}, {}
     for name, collected in maps.items():
@@ -190,27 +159,31 @@ def entropy_map(records: list) -> EntropyMap:
     return EntropyMap(bits_map=bits_map, total_bits=total, per_slice=per_slice)
 
 
+def _save_array(path: str, arr: np.ndarray) -> None:
+    np.save(path, np.ascontiguousarray(arr, dtype="<f4"), allow_pickle=False)
+
+
 def write_analysis_outputs(model: CompressionModel, images: Sequence[np.ndarray],
                            out_dir: str) -> List[str]:
     """Emit the analyze artifacts; returns the report lines."""
-    os.makedirs(out_dir, exist_ok=True)
     records = [slice_records(model, img) for img in images]
     report = _utilization(records)
+    os.makedirs(out_dir, exist_ok=True)
     lines = report.lines()
     for name in report.usage:
-        save_matrix(os.path.join(out_dir, f"usage_{name}.mat"), report.usage[name])
+        _save_array(os.path.join(out_dir, f"usage_{name}.npy"), report.usage[name])
     heat = attention_heatmaps(records[0])
     for name, entries in heat.items():
         for entry, grid in entries.items():
             ppm.write_pgm(os.path.join(out_dir, f"attn_{name}_entry{entry:03d}.pgm"),
                           scale_to_uint8(grid))
-            save_matrix(os.path.join(out_dir, f"attn_{name}_entry{entry:03d}.mat"), grid)
+            _save_array(os.path.join(out_dir, f"attn_{name}_entry{entry:03d}.npy"), grid)
     emap = entropy_map(records[0])
     ppm.write_pgm(os.path.join(out_dir, "entropy_map.pgm"), scale_to_uint8(emap.bits_map))
-    save_matrix(os.path.join(out_dir, "entropy_map.mat"), emap.bits_map)
+    _save_array(os.path.join(out_dir, "entropy_map.npy"), emap.bits_map)
     for i, tensors in enumerate(emap.per_slice):
         for key, arr in tensors.items():
-            save_matrix(os.path.join(out_dir, f"slice{i}_{key}.mat"), arr)
+            _save_array(os.path.join(out_dir, f"slice{i}_{key}.npy"), arr)
     counts = model.component_counts()
     lines.append("parameter_counts " + " ".join(
         f"{k}={v}" for k, v in sorted(counts.items())))

@@ -174,9 +174,6 @@ class HierarchicalDictContext(nn.Module):
             SliceRetrievalWeights(ctx_channels, dict_dim, heads, rng)
             for _ in range(num_slices))
 
-    def dictionaries(self):
-        return {"global": self.dict_global, "detail": self.dict_detail}
-
     def forward_slice(self, i: int, x: Tensor, keep_attention: bool = False) -> RetrievedContext:
         return hierarchical_forward(x, self.dict_global, self.dict_detail,
                                     self.slices[i], keep_attention=keep_attention)
@@ -204,9 +201,6 @@ class SingleDictContext(nn.Module):
         self.slices = nn.ModuleList(
             SingleStageWeights(ctx_channels, dict_dim, heads, rng)
             for _ in range(num_slices))
-
-    def dictionaries(self):
-        return {"single": self.dictionary}
 
     def forward_slice(self, i: int, x: Tensor, keep_attention: bool = False) -> RetrievedContext:
         w = self.slices[i]

@@ -183,7 +183,8 @@ class Decoder:
 
     def _next_byte(self) -> int:
         if self.pos >= len(self.data):
-            raise DecodeError("bitstream exhausted (truncated stream)")
+            raise DecodeError("bitstream exhausted: the stream is truncated, or the decoder "
+                              "diverged from the encoder (other weights or BLAS threading)")
         b = self.data[self.pos]
         self.pos += 1
         return b
@@ -253,14 +254,3 @@ def decode_symbols(source, cdfs: np.ndarray, index=None) -> np.ndarray:
     flat = memoryview(np.ascontiguousarray(cdfs).reshape(-1))
     out = [dec.decode(flat, lo, lo + width) for lo in starts]
     return np.array(out, dtype=np.int64) + SYMBOL_MIN
-
-
-def quantized_bits(symbols: Sequence[int], cdfs: np.ndarray) -> float:
-    """Information content sum(-log2 count/PROB_TOTAL) of symbol i under
-    cdf row i."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    cdfs = np.asarray(cdfs, dtype=np.int64)
-    idx = symbols - SYMBOL_MIN
-    rows = np.arange(symbols.size)
-    counts = cdfs[rows, idx + 1] - cdfs[rows, idx]
-    return float(np.sum(-np.log2(counts / PROB_TOTAL)))

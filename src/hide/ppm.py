@@ -1,4 +1,4 @@
-"""Binary PPM (P6) and PGM (P5) reading and writing, 8-bit only."""
+"""8-bit binary image files: PPM (P6) reading and writing, PGM (P5) writing."""
 
 from __future__ import annotations
 
@@ -7,10 +7,10 @@ import numpy as np
 from .errors import FormatError
 
 
-def _read_header(data: bytes, expected_magic: bytes):
-    """Parse magic, width, height, maxval; returns (w, h, maxval, offset)."""
-    if data[:2] != expected_magic:
-        raise FormatError(f"bad magic {data[:2]!r}, expected {expected_magic!r}")
+def _read_header(data: bytes):
+    """Parse a P6 header; returns (width, height, payload offset)."""
+    if data[:2] != b"P6":
+        raise FormatError(f"bad magic {data[:2]!r}, expected b'P6'")
     pos = 2
     fields = []
     while len(fields) < 3:
@@ -35,14 +35,14 @@ def _read_header(data: bytes, expected_magic: bytes):
         raise FormatError(f"only 8-bit images supported, maxval={maxval}")
     if width < 1 or height < 1:
         raise FormatError(f"invalid dimensions {width}x{height}")
-    return width, height, maxval, pos
+    return width, height, pos
 
 
 def read_ppm(path: str) -> np.ndarray:
     """Read a binary P6 file into a [3, H, W] uint8 array."""
     with open(path, "rb") as fh:
         data = fh.read()
-    width, height, _, pos = _read_header(data, b"P6")
+    width, height, pos = _read_header(data)
     need = width * height * 3
     payload = data[pos:pos + need]
     if len(payload) != need:
@@ -61,18 +61,6 @@ def write_ppm(path: str, img: np.ndarray) -> None:
         fh.write(np.ascontiguousarray(img.transpose(1, 2, 0), dtype=np.uint8).tobytes())
 
 
-def read_pgm(path: str) -> np.ndarray:
-    """Read a binary P5 file into a [H, W] uint8 array."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    width, height, _, pos = _read_header(data, b"P5")
-    need = width * height
-    payload = data[pos:pos + need]
-    if len(payload) != need:
-        raise FormatError(f"truncated P5 payload: {len(payload)} of {need} bytes")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(height, width).copy()
-
-
 def write_pgm(path: str, img: np.ndarray) -> None:
     img = np.asarray(img)
     if img.ndim != 2:
@@ -81,11 +69,6 @@ def write_pgm(path: str, img: np.ndarray) -> None:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
         fh.write(np.ascontiguousarray(img, dtype=np.uint8).tobytes())
-
-
-def to_unit_float(img: np.ndarray) -> np.ndarray:
-    """uint8 image -> float in [0, 1]."""
-    return np.asarray(img, dtype=np.float64) / 255.0
 
 
 def to_uint8(img: np.ndarray) -> np.ndarray:

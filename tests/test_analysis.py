@@ -1,9 +1,8 @@
-"""Utilization diagnostics, entropy maps, matrix dumps."""
+"""Utilization diagnostics, entropy maps, analysis outputs."""
 
 import hashlib
 import math
 import os
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +10,7 @@ import pytest
 import hide.analysis as an
 from hide import ppm
 from hide.config import ModelConfig
-from hide.errors import FormatError, HideError, ShapeError
+from hide.errors import HideError, ShapeError
 from hide.model import CompressionModel
 
 
@@ -83,6 +82,10 @@ class TestUsageAggregation:
         with pytest.raises(HideError):
             an.usage_from_attention([])
 
+    def test_no_images_rejected(self, model):
+        with pytest.raises(HideError, match="no images supplied"):
+            an.utilization_report(model, [])
+
 
 class TestEntropyMap:
     def test_bookkeeping_identity(self, model, images):
@@ -103,50 +106,14 @@ class TestEntropyMap:
 
 
 class TestMatrixDump:
-    def test_round_trip(self, tmp_path, rng):
-        arr = rng.standard_normal((3, 4, 5)).astype(np.float32)
-        path = str(tmp_path / "a.mat")
-        an.save_matrix(path, arr)
-        back = an.load_matrix(path)
-        assert back.shape == arr.shape
-        np.testing.assert_array_equal(back, arr)
-
-    def test_truncation_detected(self, tmp_path, rng):
-        path = str(tmp_path / "b.mat")
-        an.save_matrix(path, rng.standard_normal((4, 4)))
-        with open(path, "rb") as fh:
-            blob = fh.read()
-        with open(path, "wb") as fh:
-            fh.write(blob[:-5])
-        with pytest.raises(FormatError):
-            an.load_matrix(path)
-
-    @pytest.mark.parametrize("header", [b"x 2\n", b"2 4 four\n", b"\xff 2\n"])
-    def test_non_integer_header(self, tmp_path, header):
-        path = tmp_path / "c.mat"
-        path.write_bytes(header + b"\x00" * 64)
-        with pytest.raises(FormatError):
-            an.load_matrix(str(path))
-
-    @pytest.mark.parametrize("header", [b"70" + b" 1" * 69 + b" 0\n", b"2 -1 -4\n"],
-                             ids=["rank70", "negative_dims"])
-    def test_bad_shape_is_format_error(self, tmp_path, header):
-        path = tmp_path / "d.mat"
-        path.write_bytes(header + b"\x00" * 16)
-        with pytest.raises(FormatError, match="bad matrix shape"):
-            an.load_matrix(str(path))
-
-    def test_payload_size_checked_before_reading(self, tmp_path):
-        path = tmp_path / "e.mat"
-        path.write_bytes(b"1 100000000\n".ljust(16, b"\x00"))
-        tracemalloc.start()
-        try:
-            with pytest.raises(FormatError, match="truncated"):
-                an.load_matrix(str(path))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1 << 20
+    def test_arrays_are_little_endian_float32(self, tmp_path, model, images):
+        an.write_analysis_outputs(model, images, str(tmp_path))
+        emap = an.entropy_map(an.slice_records(model, images[0]))
+        back = np.load(tmp_path / "entropy_map.npy", allow_pickle=False)
+        assert back.dtype == np.dtype("<f4") and back.shape == emap.bits_map.shape
+        np.testing.assert_array_equal(back, emap.bits_map.astype(np.float32))
+        for f in tmp_path.glob("*.npy"):
+            assert np.load(f, allow_pickle=False).dtype == np.dtype("<f4")
 
     def test_scale_to_uint8(self):
         flat = an.scale_to_uint8(np.full((3, 3), 7.0))
@@ -163,9 +130,15 @@ class TestAnalysisOutputs:
         assert any("parameter_counts" in ln for ln in lines)
         files = os.listdir(out_dir)
         assert "entropy_map.pgm" in files
-        assert "usage_global.mat" in files
+        assert "usage_global.npy" in files
         assert any(f.startswith("attn_detail_entry") for f in files)
         assert "report.txt" in files
+
+    def test_no_images_rejected_before_writing(self, tmp_path, model):
+        out_dir = tmp_path / "analysis"
+        with pytest.raises(HideError, match="no images supplied"):
+            an.write_analysis_outputs(model, [], str(out_dir))
+        assert not out_dir.exists()
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_one_forward_per_image(self, tmp_path, model, images, n, monkeypatch):
@@ -195,106 +168,106 @@ class TestAnalysisOutputs:
     # refactor of the engine or of the analysis code must keep every byte
     @pytest.mark.parametrize("variant,digests", [
         ("hide", {
-            "attn_detail_entry000.mat":
-                "3d4705d464175d1e829d0b648c59c68720477dbf22d0c93bdae5465051e45cf5",
+            "attn_detail_entry000.npy":
+                "742a8a323e9cf7d1652ae332e87615b21bfab75aa331129617a49e171992008d",
             "attn_detail_entry000.pgm":
                 "cb460e342891cb87434effa6437a460910164350cba25eb6d128b1cb352aa362",
-            "attn_detail_entry002.mat":
-                "9270e72c24021cb9d5a7c04a710af171cf9ed29bde9f5321fe0c7bbe99911d61",
+            "attn_detail_entry002.npy":
+                "9331b90b3356b6d40553a9ec953f09c24fbf5554f86682664d315957aa5a0849",
             "attn_detail_entry002.pgm":
                 "18f42e2716c32d223ba95fed08c796e685cbf85418704fee2d12fc972b7b6247",
-            "attn_detail_entry004.mat":
-                "0b9602fdbedcb20b9c4eaaf9be39b64716d9c1bc1ee703e7303ed7821c286849",
+            "attn_detail_entry004.npy":
+                "0e300f5e015b1418fa2e86208c865723ba05974767d77770386beb295d628ff2",
             "attn_detail_entry004.pgm":
                 "0aa22bff9cad0ce9a3ac898154f89f60e8a03a1df2c215ed03028a1fada48af5",
-            "attn_detail_entry006.mat":
-                "19b451a9758553b4d9b041a6211d82b57115b8a43686dbf8072b7063fa0a1bbb",
+            "attn_detail_entry006.npy":
+                "ce780192d76c375bd93c14935d5e88df62d63dc44570ce5ac6e86e1c95d7d1f3",
             "attn_detail_entry006.pgm":
                 "ed686e4e4e353a28a010b5d64c9139798393103f4fb0b6e21d63cdd37656c34f",
-            "attn_global_entry000.mat":
-                "f9c952ca3c53c79d37a1eb1cf7798ac4c3e2651e3cd1a66491641fce01a58387",
+            "attn_global_entry000.npy":
+                "31f688eef8cbfb563792c468b81ba92021e76d53dd80ed97920e186c355231fc",
             "attn_global_entry000.pgm":
                 "b00a74560b5dce1f80f62431b821ef1684dca0d2cb7ae7a712ef480a4a2fd5d9",
-            "attn_global_entry001.mat":
-                "e03cd9ebcc99f131cadbae38a07b1d427834034c5f08ebc866258e2865748998",
+            "attn_global_entry001.npy":
+                "29a85772f7a75bbecee67a5c86b79cfbb7e5c39195346aafb64778b8cb0d65e8",
             "attn_global_entry001.pgm":
                 "01ab163e1479ea3902a5a0d266d5c34caaa1fe53f5a1d2fed021de6b1f352edb",
-            "attn_global_entry003.mat":
-                "59474215b5299a093d8ad1beaf29214f88b9512c151ae53bb02d861f4249eac6",
+            "attn_global_entry003.npy":
+                "cc131ba7d9902c1cc7c3e83b47631fcf7ec562e1787d2f034d59180d4e1c9e72",
             "attn_global_entry003.pgm":
                 "5080a7a90792f593d9aa0d84f48f0068c7f95fe8592de810b671b2da86490183",
-            "attn_global_entry007.mat":
-                "3c6dd006b3cb200018147cc4907ee4c1d12e5caebbd2df72287309d712cdb4ec",
+            "attn_global_entry007.npy":
+                "9a2e9d109bfceae0ed0e4f3486ca72ed9f90926400be3fd55245fc99c7d1b938",
             "attn_global_entry007.pgm":
                 "941f667f8619116f05814c8eda88714bbdfd89421a330af8b1bdd269798c523a",
-            "entropy_map.mat":
-                "03baacb9a1e7b1d79f2d7f8007a32e989adf2986f55f6ae313384eac7736f93a",
+            "entropy_map.npy":
+                "3e47799777ba669be3d50fadbe5f99e3148fbd45bda77db4885eae145da74cb7",
             "entropy_map.pgm":
                 "c6143b51a24dd3b5a1767565ac8145efc5de848dc3f46cdabc63a272189c37f1",
             "report.txt":
                 "f36f9cb2f6962debc2e482da57becce32f2fcf5bea3ad87a64e52342f46fbf50",
-            "slice0_mu.mat":
-                "c5bdb7e543e14fc0f914019072bf737866bfbe687a90cc10f5114843f26e5a39",
-            "slice0_normalized_residual.mat":
-                "b8b5585293d596c8bedde85afabfddf5aae5db02bcf2e05062e40d485963b3f5",
-            "slice0_residual.mat":
-                "ab5321568fb3858b86f7ae16c1ffd8abede81b1d6223be50374fe7ed0739aa78",
-            "slice0_sigma.mat":
-                "1dcd571abe25153108ec289da0c6df70061777b796043988ddc32b7a9eab5522",
-            "slice1_mu.mat":
-                "9065e2df261d210dd13d90306467a64a5450f71a07579827901d155084725fb7",
-            "slice1_normalized_residual.mat":
-                "64fcc93cb614e09a8d4956171806d0770eb7edce8e0bc7257ee9b6c37900dc90",
-            "slice1_residual.mat":
-                "14c0b4057a79da370b503b27a782fe56f3ee4f5f28e63d2586117b2f709fc404",
-            "slice1_sigma.mat":
-                "a028a491034c0f5e484f3f49ec4e669cd0c9e00472e4d3e36c4cdfbfa0dfdd4b",
-            "usage_detail.mat":
-                "821529101f89f362dad6f05a1fbf2b3b88b15381b8af733621e8de0f71107195",
-            "usage_global.mat":
-                "c3824125362b1dc6f33ddf4df64daacc2616082dafb9a31eed93bd00b5975fa4",
+            "slice0_mu.npy":
+                "fc9d08003cd77f113480a7ed3623af90f7e0b602bd35ad7ed1d8e147b03782fe",
+            "slice0_normalized_residual.npy":
+                "af8e3fc248ff1e224abbe00a066c0fda289c2ae81283d8c4b4aba8caf7613e3c",
+            "slice0_residual.npy":
+                "cd51bdc51a64ed28213103f809bf8c801d1e3fa97cf5aa8b8ebb17cb6569aa8f",
+            "slice0_sigma.npy":
+                "c6d9edd6de722858bd62144532b3b47e595dd1b111ed0d279b9a171b1b15d9fa",
+            "slice1_mu.npy":
+                "fafc5a0357f45c0d9b764746fc80c40fff7cd3c0ed3349bbc314ef920eefe0e4",
+            "slice1_normalized_residual.npy":
+                "d51976e5cfaab542f6d03dda4dd2faf2edbf0d4219b49494a2aec4a4240817e1",
+            "slice1_residual.npy":
+                "2b22cfae3011b5930a30adf609fa6c0e9b2541dda4df31969585f1a607bc4561",
+            "slice1_sigma.npy":
+                "e285450ddfb0624eccffc679dd6d710fb0e7ff49dbd8f149b30e2e153e657a93",
+            "usage_detail.npy":
+                "16d63d71b86509b320bfd3bd84416ea8f629e382546ccfc2e5f6e1bdf4a87380",
+            "usage_global.npy":
+                "8a21a2fc7c81db352245b0be741f82d0c07e32850d451454a7c10e781205d470",
         }),
         ("cape", {
-            "attn_single_entry000.mat":
-                "5fd266f1f8c86b9bbc5cfce6f13b4d64d534e7db950c70129648153027972d2e",
+            "attn_single_entry000.npy":
+                "c91e5a9d8374b89900d6567f99760f932ca92d395eaf959bf405e7752cc2d771",
             "attn_single_entry000.pgm":
                 "fce15ae9521d0161cbf26665e66a5c27645f32ecfd5ef5f7b67f1fff8f1883bb",
-            "attn_single_entry006.mat":
-                "e66359aae95819d77081b9c14af61afc40ce1f9046e4c0c316e3a544811d6278",
+            "attn_single_entry006.npy":
+                "c08795e0fd8206bb25a3fbb2dad1c3df7540f94d305c11c0a7c80b65ab1368f6",
             "attn_single_entry006.pgm":
                 "7246ac4263df321c18feeeb0de5ea37f8b6f7f74879ce4f079c062381b9f7ff3",
-            "attn_single_entry010.mat":
-                "256e558a609e33a6eb5f8a21ceb7399cb4fcd530eb69949f48f9a7f4b3feb116",
+            "attn_single_entry010.npy":
+                "3868128f8f0718de83f6306aa06352bb4da52d156091aba1518e0e11bfd38cc6",
             "attn_single_entry010.pgm":
                 "fe2765335d0186a886be6f5a21d2da8a583f49b71118de43be2131a20d723802",
-            "attn_single_entry011.mat":
-                "9df5ec1ef5117094426af3ab17e30212a9622781186dc9277f978858d942faff",
+            "attn_single_entry011.npy":
+                "ce2d8ec7e6e3e0f02660480d298ac7b78ee795c95dc121efceafdd3ee1866041",
             "attn_single_entry011.pgm":
                 "8cdfea3692d39da2b41eccd5a0671ddf0573a9cea2cb02d3acac193107192dfd",
-            "entropy_map.mat":
-                "66bc71da2be429d1629b5a27a3f09d07e193291d312bc9e1e76db876062ffa6c",
+            "entropy_map.npy":
+                "749dd96dbbc30ec07d4984f35fdd0147e7a7df9555218d693a1c8c4da5fd7a59",
             "entropy_map.pgm":
                 "d30c844bdad429dedf3162e9b9fe7fc49491a171f012de1c3c4033d6c89332c5",
             "report.txt":
                 "9619cc705a8c320763a1b419fb222ac099696fd3bf9ae9e1c037287c8864a211",
-            "slice0_mu.mat":
-                "e78d2bb5ca9e041f0d09c1bf7bf408489e2648e91a2e9fabc055e27584c4bcea",
-            "slice0_normalized_residual.mat":
-                "5e225b27085b8d5aa23dc1f9dfd1cc235e5712ba5e398336e7a3f2df9afcd50e",
-            "slice0_residual.mat":
-                "1b20ba0442e00490f401db7a3ebeeaad76bbd851824b08c846577b37bd038c65",
-            "slice0_sigma.mat":
-                "dc5d95705aa5fdcba25a12fc02ea109910901e3f4687034b1562401393aa133f",
-            "slice1_mu.mat":
-                "7519f5266bc2e510dc16b72ef12e0f92083df5ca2b6ec1e0be257373f197c39c",
-            "slice1_normalized_residual.mat":
-                "58b0072cc5d0089d408edac6545cc5548dc996bf83c05ee8f402ce50b0fb182d",
-            "slice1_residual.mat":
-                "8caea82d3668b82a4e68294e286425d078d1fb1cd5eb4feda4861b87450c5f1d",
-            "slice1_sigma.mat":
-                "506d172ea6d6fa8aeef6983ca4fe5e1281b9e30694c8205dc4d20bc2ff0cbfc6",
-            "usage_single.mat":
-                "286b79d0fd596970ad69d3ccbac6ec281b68a96dc9570778dcdf66d3f1505b25",
+            "slice0_mu.npy":
+                "8404f0489421a4d0b715e0a12c701f485701033d329b23ae781390fa9e2e9207",
+            "slice0_normalized_residual.npy":
+                "f7c78c220a973d6b91f591a7ca2ce8ba1a9f4432a0098bfaf3333b3a3cfcdfed",
+            "slice0_residual.npy":
+                "ad52bf1e25c2a1af117ad3877d9ac97d8aa0e22b41f68d2b15ad7146781c085a",
+            "slice0_sigma.npy":
+                "016033f5c262d3783cab9f41ab10aaf18a89658e868f66af6ac1b6aa4c890785",
+            "slice1_mu.npy":
+                "fabd546a5e44dfdd1cd0287a2ea6cadac2e6da2157bd69414d0195d84e8153bd",
+            "slice1_normalized_residual.npy":
+                "9768c7d01ab3991e3259ddb64c4f4e8dbd1acd3b8d4e5903affb8481e82c9148",
+            "slice1_residual.npy":
+                "cb07f1760945831b8b343eca6b72f37cf2dd78823c94737b358c45428d02fca5",
+            "slice1_sigma.npy":
+                "a358bfeebb23431af40b21c1b96a234bdd78cc77dea62819393eabe06e634931",
+            "usage_single.npy":
+                "ce0b9f8b7c31e23dbd0a3258067580a35cc717388f9cab5de2fef23c97ba7d49",
         }),
     ])
     def test_output_digests(self, tmp_path, images, variant, digests):
