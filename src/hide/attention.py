@@ -192,12 +192,14 @@ class SingleStageWeights(nn.Module):
 
 
 class SingleDictContext(nn.Module):
-    """Flat single-dictionary ablation: one retrieval stage, no enhancement."""
+    """Flat single-dictionary ablation: one retrieval stage, no enhancement.
+    Its one dictionary holds n_global + n_detail entries, as many as the
+    hierarchical module's two together."""
 
     def __init__(self, num_slices: int, ctx_channels: int, dict_dim: int,
-                 n_entries: int, heads: int, rng: np.random.Generator):
+                 n_global: int, n_detail: int, heads: int, rng: np.random.Generator):
         super().__init__()
-        self.dictionary = PriorDictionary(n_entries, dict_dim, rng)
+        self.dictionary = PriorDictionary(n_global + n_detail, dict_dim, rng)
         self.slices = nn.ModuleList(
             SingleStageWeights(ctx_channels, dict_dim, heads, rng)
             for _ in range(num_slices))

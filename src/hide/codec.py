@@ -29,7 +29,6 @@ import numpy as np
 
 from . import coder
 from .backbone import SPATIAL_FACTOR
-from .core.tensor import no_grad
 from .errors import DecodeError, FormatError, ShapeError
 from .model import CompressionModel
 
@@ -83,13 +82,21 @@ def codec_input(img: np.ndarray) -> np.ndarray:
     return np.pad(unit, ((0, 0), (0, ph), (0, pw)), mode="edge")
 
 
-def _hyper_cdf_rows(model: CompressionModel, spatial: int):
-    """The per-channel hyper cdf rows and the row of each z symbol."""
-    fracs = model.hyper_prior.frac_means()
-    with no_grad():   # sigma() is differentiable; recorded, its nodes stay on the tape
-        sigmas = model.hyper_prior.sigma().numpy().astype(np.float64)
-    per_channel = coder.build_cdf_batch(fracs, sigmas)
-    return per_channel, np.repeat(np.arange(per_channel.shape[0]), spatial)
+def _cdf_table(model: CompressionModel) -> np.ndarray:
+    """The payload's cdf table: the SCALE_LEVELS scale rows, then one row
+    per hyper channel, so hyper channel c codes under row SCALE_LEVELS + c."""
+    return np.vstack([coder.SCALE_CDFS, model.hyper_prior.cdf_rows()])
+
+
+def _hyper_rows(model: CompressionModel, zh: int, zw: int) -> np.ndarray:
+    """The table row of each hyper symbol, shaped [1, C, zh, zw]."""
+    rows = coder.SCALE_LEVELS + np.arange(model.config.hyper_channels)
+    return np.broadcast_to(rows[:, None, None], (1, rows.size, zh, zw))
+
+
+def _coded_symbols(z_symbols: np.ndarray, records) -> np.ndarray:
+    """Every coded symbol in stream order: the hyper symbols, then each slice's."""
+    return np.concatenate([z_symbols.reshape(-1)] + [r.symbols.reshape(-1) for r in records])
 
 
 def encode_image(model: CompressionModel, img: np.ndarray) -> EncodeResult:
@@ -100,11 +107,10 @@ def encode_image(model: CompressionModel, img: np.ndarray) -> EncodeResult:
     z_sym = fwd["z_symbols"]
     bundle = fwd["bundle"]
 
-    z_rows, z_index = _hyper_cdf_rows(model, z_sym.shape[2] * z_sym.shape[3])
-    symbols = np.concatenate([z_sym.reshape(-1)] + [r.symbols.reshape(-1) for r in bundle.slices])
-    index = np.concatenate([z_index] + [len(z_rows) + r.scale_index.reshape(-1)
-                                        for r in bundle.slices])
-    stream = coder.encode_symbols(symbols, np.vstack([z_rows, coder.SCALE_CDFS]), index)
+    symbols = _coded_symbols(z_sym, bundle.slices)
+    index = np.concatenate([_hyper_rows(model, *z_sym.shape[2:]).reshape(-1)]
+                           + [r.scale_index.reshape(-1) for r in bundle.slices])
+    stream = coder.encode_symbols(symbols, _cdf_table(model), index)
 
     header = _HEADER.pack(MAGIC, VERSION, width, height, model.config.config_hash())
     data = header + stream + _CRC.pack(zlib.crc32(symbols.astype(np.int8)))
@@ -142,29 +148,27 @@ def decode_image(model: CompressionModel, data: bytes) -> DecodeResult:
     zh, zw = pad_h // SPATIAL_FACTOR, pad_w // SPATIAL_FACTOR
 
     stream = data[_HEADER.size:len(data) - _CRC.size]
-    z_rows, z_index = _hyper_cdf_rows(model, zh * zw)
-    stage, crc = "hyper stream", 0
+    table = _cdf_table(model)
+    stage = "hyper stream"
 
-    def decode(cdfs: np.ndarray, index: np.ndarray) -> np.ndarray:
-        nonlocal crc
-        symbols = coder.decode_symbols(dec, cdfs, index.reshape(-1)).reshape(index.shape)
-        crc = zlib.crc32(symbols.astype(np.int8), crc)
-        return symbols
+    def decode(index: np.ndarray) -> np.ndarray:
+        return coder.decode_symbols(dec, table, index.reshape(-1)).reshape(index.shape)
 
     def symbol_source(i: int, index: np.ndarray) -> np.ndarray:
         nonlocal stage
         stage = f"slice {i + 1} of {model.config.s}"
-        return decode(coder.SCALE_CDFS, index)
+        return decode(index)
 
     try:
         dec = coder.Decoder(stream)
-        z_sym = decode(z_rows, z_index).reshape(1, model.config.hyper_channels, zh, zw)
+        z_sym = decode(_hyper_rows(model, zh, zw))
         fwd = model.decode_forward(z_sym, symbol_source)
     except DecodeError as err:
         raise DecodeError(f"{stage}: {err}") from None
     if dec.pos != len(stream):
         raise DecodeError(f"{len(stream) - dec.pos} stream bytes left after {stage}")
-    if crc != _CRC.unpack_from(data, len(stream) + _HEADER.size)[0]:
+    crc = zlib.crc32(_coded_symbols(z_sym, fwd["bundle"].slices).astype(np.int8))
+    if crc != _CRC.unpack_from(data, len(data) - _CRC.size)[0]:
         raise DecodeError(f"symbol CRC mismatch after {stage}: the payload is corrupt, or "
                           "was encoded with other weights or BLAS threading")
     recon_padded = fwd["x_hat"][0]

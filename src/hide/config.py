@@ -2,13 +2,10 @@
 
 Config keys use the architecture's own names (M, s, C_d, ...), each on
 at most one line.  The "lambda" key maps to the ``lam`` attribute
-because of the Python keyword; ``lam`` itself is not a key.  Variants
-select which modules a model instantiates:
-
-    baseline  single-level dictionary + shallow estimator
-    hd        hierarchical dictionaries + shallow estimator
-    cape      single-level dictionary + context-aware estimator
-    hide      hierarchical dictionaries + context-aware estimator
+because of the Python keyword; ``lam`` itself is not a key.  The
+variant selects which modules a model instantiates: baseline, hd (the
+hierarchical dictionaries), cape (the context-aware estimator) or hide
+(both).  ``entropy.VARIANT_MODULES`` is the table of what each builds.
 """
 
 from __future__ import annotations

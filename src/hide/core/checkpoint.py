@@ -67,7 +67,6 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], str]:
         raise FormatError(f"unsupported checkpoint version {version}")
     pos = 6
     arrays: Dict[str, np.ndarray] = {}
-    config_text = ""
     while pos < len(blob):
         try:
             (name_len,) = struct.unpack_from("<H", blob, pos)
@@ -86,15 +85,16 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], str]:
             if len(payload) != nbytes:
                 raise FormatError(f"truncated checkpoint record {name!r}")
             pos += nbytes
-        except (struct.error, KeyError, UnicodeDecodeError) as e:
+            # a zero dim empties the payload however large the others; numpy
+            # refuses a shape whose other dims overflow its size (ValueError)
+            arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
+        except (struct.error, KeyError, UnicodeDecodeError, ValueError) as e:
             raise FormatError(f"corrupt checkpoint {path}: {e}") from e
-        arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
-        if name == CONFIG_RECORD:
-            try:
-                config_text = arr.tobytes().decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise FormatError(f"corrupt checkpoint {path}: config record "
-                                  f"is not UTF-8 ({e})") from e
-        else:
-            arrays[name] = arr
-    return arrays, config_text
+        if name in arrays:
+            raise FormatError(f"repeated record {name!r} in checkpoint {path}")
+        arrays[name] = arr
+    config = arrays.pop(CONFIG_RECORD, np.zeros(0, np.uint8))
+    try:
+        return arrays, config.tobytes().decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise FormatError(f"corrupt checkpoint {path}: config record is not UTF-8 ({e})") from e

@@ -96,8 +96,9 @@ def rd_loss(bpp: Tensor, mse: Tensor, lam: float) -> Tensor:
 
 class ChannelPrior(nn.Module):
     """Per-channel discretized Gaussian with learned constants for the
-    hyper latent; means are free-floating, so coding splits mu into an
-    integer offset (absorbed into the symbol) and a fractional part."""
+    hyper latent, and the one owner of how that latent is coded: means
+    are free-floating, so coding absorbs each mean's integer offset into
+    the symbol and keeps its fraction in the channel's cdf row."""
 
     def __init__(self, channels: int):
         super().__init__()
@@ -108,18 +109,32 @@ class ChannelPrior(nn.Module):
     def sigma(self) -> Tensor:
         return scale_map(self.scale_raw)
 
-    def broadcast(self):
-        """(mu, sigma) tensors shaped [1, C, 1, 1] to broadcast over a latent."""
+    def _offsets(self) -> np.ndarray:
+        """Each mean's integer part, shaped [1, C, 1, 1] to broadcast over z."""
+        return np.floor(self.mean.numpy()).astype(np.int64).reshape(1, -1, 1, 1)
+
+    def quantize(self, z: Tensor):
+        """(symbols, z_hat): symbols = clamp(round(z) - offset), z_hat = symbols + offset."""
+        symbols = np.clip(np.rint(z.numpy()) - self._offsets(), SYMBOL_MIN, SYMBOL_MAX)
+        symbols = symbols.astype(np.int64)
+        return symbols, self.dequantize(symbols, z.dtype)
+
+    def dequantize(self, symbols: np.ndarray, dtype) -> Tensor:
+        """The z_hat that decoded symbols stand for, in dtype."""
+        return Tensor((symbols + self._offsets()).astype(dtype), dtype=dtype)
+
+    def rate(self, z: Tensor) -> Tensor:
+        """Information content of z in bits under the prior; differentiable."""
         mu = self.mean.reshape(1, -1, 1, 1)
         sigma = self.sigma().reshape(1, -1, 1, 1)
-        return mu, sigma
+        return rate_bits(likelihood(z, mu, sigma))
 
-    def integer_offsets(self) -> np.ndarray:
-        return np.floor(self.mean.numpy()).astype(np.int64)
-
-    def frac_means(self) -> np.ndarray:
+    def cdf_rows(self) -> np.ndarray:
+        """One coder cdf row per channel, from its mean's fraction and sigma."""
         mu = self.mean.numpy().astype(np.float64)
-        return mu - np.floor(mu)
+        with T.no_grad():   # sigma() is differentiable; recorded, its nodes stay on the tape
+            sigma = self.sigma().numpy().astype(np.float64)
+        return coder.build_cdf_batch(mu - np.floor(mu), sigma)
 
 
 @dataclass
@@ -130,7 +145,6 @@ class SliceRecord:
     scale_index: np.ndarray     # coder.SCALE_CDFS row of each symbol
     symbols: np.ndarray
     y_hat: np.ndarray
-    y_bar: np.ndarray
     bits: float
     attn_global: Optional[np.ndarray] = None
     attn_detail: Optional[np.ndarray] = None
@@ -143,17 +157,27 @@ class LatentBundle:
     total_bits: float = 0.0
 
 
+# What each variant builds: (dictionary context, estimator, residual head).
+VARIANT_MODULES = {
+    "baseline": (SingleDictContext, ShallowEstimator, ShallowResidual),
+    "hd": (HierarchicalDictContext, ShallowEstimator, ShallowResidual),
+    "cape": (SingleDictContext, ContextAwareEstimator, ContextAwareResidual),
+    "hide": (HierarchicalDictContext, ContextAwareEstimator, ContextAwareResidual),
+}
+
+
 class SliceEntropyModel(nn.Module):
-    """Context aggregation, retrieval, and estimation for all slices."""
+    """Context aggregation, retrieval, and estimation for all slices;
+    VARIANT_MODULES[variant] names the retrieval and estimation modules.
+    The build order (per slice: aggregator, estimator, residual head; then
+    the dictionary context) fixes the rng draws of a seeded model."""
 
     def __init__(self, latent_channels: int, num_slices: int, ctx_channels: int,
-                 hyper_ctx_channels: int, rng: np.random.Generator, *,
-                 use_hierarchical_dict: bool, use_context_aware: bool,
+                 hyper_ctx_channels: int, rng: np.random.Generator, *, variant: str,
                  dict_dim: int, n_global: int, n_detail: int, heads: int):
         super().__init__()
+        dict_context, estimator, residual = VARIANT_MODULES[variant]
         self.split = channel_split(latent_channels, num_slices)
-        self.num_slices = num_slices
-        self.ctx_channels = ctx_channels
 
         agg = []
         estimators = []
@@ -164,24 +188,20 @@ class SliceEntropyModel(nn.Module):
             agg.append(_Aggregator(c_in, ctx_channels, rng))
             est_in = hyper_ctx_channels + decoded_c + ctx_channels
             lrp_in = est_in + self.split[i]
-            if use_context_aware:
-                estimators.append(ContextAwareEstimator(est_in, self.split[i], rng))
-                residuals.append(ContextAwareResidual(lrp_in, self.split[i], rng))
-            else:
-                estimators.append(ShallowEstimator(est_in, self.split[i], rng))
-                residuals.append(ShallowResidual(lrp_in, self.split[i], rng))
+            estimators.append(estimator(est_in, self.split[i], rng))
+            residuals.append(residual(lrp_in, self.split[i], rng))
         self.agg = nn.ModuleList(agg)
         self.estimators = nn.ModuleList(estimators)
         self.residuals = nn.ModuleList(residuals)
-
-        if use_hierarchical_dict:
-            self.dict_ctx = HierarchicalDictContext(
-                num_slices, ctx_channels, dict_dim, n_global, n_detail, heads, rng)
-        else:
-            self.dict_ctx = SingleDictContext(
-                num_slices, ctx_channels, dict_dim, n_global + n_detail, heads, rng)
+        self.dict_ctx = dict_context(
+            num_slices, ctx_channels, dict_dim, n_global, n_detail, heads, rng)
 
     # -- shared per-slice computation (identical on both codec sides) ----
+    def _slices(self, y: Tensor) -> List[Tensor]:
+        """y cut along channels into the split's slices."""
+        ends = np.cumsum(self.split).tolist()
+        return [y[:, end - c:end] for c, end in zip(self.split, ends)]
+
     def slice_params(self, i: int, hyper_ctx: Tensor, decoded: List[Tensor],
                      keep_attention: bool = False):
         parts = [hyper_ctx] + decoded
@@ -210,14 +230,8 @@ class SliceEntropyModel(nn.Module):
             raise ShapeError("codec_pass needs exactly one of y or symbol_source")
         bundle = LatentBundle()
         decoded: List[Tensor] = []
-        y_slices = None
-        if y is not None:
-            y_slices = []
-            start = 0
-            for c in self.split:
-                y_slices.append(y[:, start:start + c])
-                start += c
-        for i in range(self.num_slices):
+        y_slices = None if y is None else self._slices(y)
+        for i in range(len(self.split)):
             mu, sigma, s, retrieved = self.slice_params(
                 i, hyper_ctx, decoded, keep_attention=keep_attention)
             index, sigma = snap_scale(sigma)
@@ -232,7 +246,7 @@ class SliceEntropyModel(nn.Module):
             bits = float(rate_bits(p).numpy())
             bundle.slices.append(SliceRecord(
                 mu=mu.numpy().copy(), sigma=sigma.numpy().copy(), scale_index=index,
-                symbols=m, y_hat=y_hat.numpy().copy(), y_bar=y_bar.numpy().copy(), bits=bits,
+                symbols=m, y_hat=y_hat.numpy().copy(), bits=bits,
                 attn_global=retrieved.attn_global, attn_detail=retrieved.attn_detail))
             bundle.total_bits += bits
             decoded.append(y_bar)
@@ -250,10 +264,7 @@ class SliceEntropyModel(nn.Module):
         """
         rate_total = None
         decoded: List[Tensor] = []
-        start = 0
-        for i in range(self.num_slices):
-            y_i = y[:, start:start + self.split[i]]
-            start += self.split[i]
+        for i, y_i in enumerate(self._slices(y)):
             mu, sigma, s, _ = self.slice_params(i, hyper_ctx, decoded)
             noisy = add_noise(y_i, rng)
             p = likelihood(noisy, mu, sigma)

@@ -80,9 +80,10 @@ def aggregate_by_lambda(records: Sequence[RDRecord]) -> Tuple[np.ndarray, np.nda
     for r in records:
         groups.setdefault(r.lam, []).append(r)
     rates, quals = [], []
-    for lam in sorted(groups):
-        rates.append(float(np.mean([r.bpp for r in groups[lam]])))
-        quals.append(float(np.mean([r.psnr for r in groups[lam]])))
+    with np.errstate(invalid="ignore"):     # inf and -inf average to nan, which bd_rate refuses
+        for lam in sorted(groups):
+            rates.append(float(np.mean([r.bpp for r in groups[lam]])))
+            quals.append(float(np.mean([r.psnr for r in groups[lam]])))
     return np.asarray(rates), np.asarray(quals)
 
 
@@ -101,8 +102,8 @@ def bd_rate(anchor_rate: Sequence[float], anchor_psnr: Sequence[float],
     for name, rate, qual in (("anchor", a_rate, a_psnr), ("test", t_rate, t_psnr)):
         if rate.size != qual.size or rate.size < 2:
             raise MetricsError(f"{name} curve needs >= 2 (rate, psnr) points")
-        if np.any(rate <= 0):
-            raise MetricsError(f"{name} curve has non-positive rates")
+        if not np.all((0 < rate) & (rate < math.inf)):
+            raise MetricsError(f"{name} curve has rates that are not positive and finite")
         if not np.all(np.isfinite(qual)):
             raise MetricsError(f"{name} curve has non-finite PSNR")
 
@@ -122,7 +123,12 @@ def bd_rate(anchor_rate: Sequence[float], anchor_psnr: Sequence[float],
         anti = PchipInterpolator(qs, rs).antiderivative()
         return float(anti(hi) - anti(lo))
 
-    mean_diff = (integral(t_psnr, t_rate) - integral(a_psnr, a_rate)) / (hi - lo)
+    # extreme finite inputs (PSNRs 1e-300 apart, rates 1e300 apart) overflow
+    # the interpolation or the ratio: refuse them rather than print nan or inf
+    with np.errstate(all="ignore"):
+        mean_diff = (integral(t_psnr, t_rate) - integral(a_psnr, a_rate)) / (hi - lo)
+    if not abs(mean_diff) < 300:
+        raise MetricsError(f"delta-rate out of range: mean log10 rate difference {mean_diff}")
     return (math.exp(mean_diff * math.log(10.0)) - 1.0) * 100.0
 
 

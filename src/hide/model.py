@@ -10,17 +10,8 @@ from .core import checkpoint as ckpt
 from .core import nn
 from .core import tensor as T
 from .core.tensor import Tensor
-from .constants import SYMBOL_MAX, SYMBOL_MIN
-from .entropy import (
-    ChannelPrior,
-    SliceEntropyModel,
-    add_noise,
-    likelihood,
-    mse_255,
-    rate_bits,
-    rd_loss,
-)
-from .errors import ConfigError
+from .entropy import ChannelPrior, SliceEntropyModel, add_noise, mse_255, rd_loss
+from .errors import ConfigError, HideError
 
 
 class CompressionModel(nn.Module):
@@ -37,10 +28,8 @@ class CompressionModel(nn.Module):
         self.hyper_prior = ChannelPrior(config.hyper_channels)
         self.entropy = SliceEntropyModel(
             config.M, config.s, config.C_ctx, 2 * config.C_ctx, rng,
-            use_hierarchical_dict=config.variant in ("hd", "hide"),
-            use_context_aware=config.variant in ("cape", "hide"),
-            dict_dim=config.C_d, n_global=config.N_G, n_detail=config.N_D,
-            heads=config.heads)
+            variant=config.variant, dict_dim=config.C_d, n_global=config.N_G,
+            n_detail=config.N_D, heads=config.heads)
         # layers build float64 parameters; cast each once to the model's
         # dtype, which the forward pass then follows from its input
         for p in self.parameters():
@@ -63,9 +52,12 @@ class CompressionModel(nn.Module):
         """RD loss over a batch of [B,3,H,W] images in [0, 1].
 
         Returns (loss, bpp_estimate, mse) tensors; loss is built from
-        the returned bpp and mse nodes.  recon_mode "noise"
+        the returned bpp and mse nodes.  recon_mode "ste" rounds the
+        reconstruction path with straight-through gradients; "noise"
         keeps every path smooth for finite-difference checks.
         """
+        if recon_mode not in ("ste", "noise"):
+            raise HideError(f"recon_mode must be 'ste' or 'noise', got {recon_mode!r}")
         xt = self.as_input(x)
         batch, _, height, width = xt.shape
         num_pixels = batch * height * width
@@ -73,10 +65,9 @@ class CompressionModel(nn.Module):
         y = self.analysis(xt)
         z = self.hyper_analysis(y)
 
-        mu_z, sigma_z = self.hyper_prior.broadcast()
         z_noisy = add_noise(z, rng)
         z_hat = T.round_ste(z) if recon_mode == "ste" else z_noisy
-        rate_z = rate_bits(likelihood(z_noisy, mu_z, sigma_z))
+        rate_z = self.hyper_prior.rate(z_noisy)
 
         hyper_ctx = self.hyper_synthesis(z_hat)
         y_bar, rate_y = self.entropy.training_pass(y, hyper_ctx, rng,
@@ -92,15 +83,14 @@ class CompressionModel(nn.Module):
         with T.no_grad():
             xt = self.as_input(x)
             y = self.analysis(xt)
-            z = self.hyper_analysis(y)
-            z_sym, z_hat = self._quantize_hyper(z.numpy())
-            hyper_ctx = self.hyper_synthesis(Tensor(z_hat, dtype=self.dtype))
+            z_sym, z_hat = self.hyper_prior.quantize(self.hyper_analysis(y))
+            hyper_ctx = self.hyper_synthesis(z_hat)
             bundle = self.entropy.codec_pass(hyper_ctx, y=y,
                                              keep_attention=keep_attention)
             x_hat = self.synthesis(bundle.y_bar)
-            z_bits = self._hyper_bits(z_hat)
+            z_bits = float(self.hyper_prior.rate(z_hat).numpy())
         return {
-            "y": y.numpy(), "z": z.numpy(), "z_symbols": z_sym, "z_hat": z_hat,
+            "y": y.numpy(), "z_symbols": z_sym, "z_hat": z_hat.numpy(),
             "z_bits": z_bits, "bundle": bundle, "x_hat": x_hat.numpy(),
         }
 
@@ -108,25 +98,11 @@ class CompressionModel(nn.Module):
         """Round-mode forward for the decoder, given decoded hyper symbols
         and a per-slice symbol source."""
         with T.no_grad():
-            offsets = self.hyper_prior.integer_offsets()
-            z_hat = (z_symbols + offsets[None, :, None, None]).astype(self.dtype)
-            hyper_ctx = self.hyper_synthesis(Tensor(z_hat, dtype=self.dtype))
+            z_hat = self.hyper_prior.dequantize(z_symbols, self.dtype)
+            hyper_ctx = self.hyper_synthesis(z_hat)
             bundle = self.entropy.codec_pass(hyper_ctx, symbol_source=symbol_source)
             x_hat = self.synthesis(bundle.y_bar)
-        return {"z_hat": z_hat, "bundle": bundle, "x_hat": x_hat.numpy()}
-
-    def _quantize_hyper(self, z: np.ndarray):
-        """Integer symbols for the hyper latent: the learned mean's integer
-        part is absorbed into the symbol, its fraction stays in the cdf."""
-        offsets = self.hyper_prior.integer_offsets()[None, :, None, None]
-        sym = np.clip(np.rint(z) - offsets, SYMBOL_MIN, SYMBOL_MAX).astype(np.int64)
-        z_hat = (sym + offsets).astype(self.dtype)
-        return sym, z_hat
-
-    def _hyper_bits(self, z_hat: np.ndarray) -> float:
-        mu_z, sigma_z = self.hyper_prior.broadcast()
-        p = likelihood(Tensor(z_hat, dtype=self.dtype), mu_z, sigma_z)
-        return float(rate_bits(p).numpy())
+        return {"bundle": bundle, "x_hat": x_hat.numpy()}
 
     # -- component accounting ---------------------------------------------
     def component_counts(self) -> dict:

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import hide.analysis as an
-from hide import ppm
+from hide import codec, ppm
+from hide.core import tape_size
 from hide.config import ModelConfig
 from hide.errors import HideError, ShapeError
 from hide.model import CompressionModel
@@ -277,3 +278,17 @@ class TestAnalysisOutputs:
         written = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in out_dir.iterdir()}
         assert written == digests
+
+
+class TestTape:
+    @pytest.mark.parametrize("variant", ["hide", "baseline"])
+    def test_codec_and_analysis_leave_nothing_on_the_tape(self, images, tmp_path, variant):
+        # hierarchical and single-dictionary retrieval; the hyper prior's
+        # sigma is differentiable and would record outside no_grad
+        model = CompressionModel(tiny_config(variant=variant))
+        data = codec.encode_image(model, images[0]).data
+        assert tape_size() == 0
+        codec.decode_image(model, data)
+        assert tape_size() == 0
+        an.write_analysis_outputs(model, images[:1], str(tmp_path))
+        assert tape_size() == 0

@@ -264,7 +264,8 @@ class TestHierarchicalForward:
     def test_single_stage_module(self, rng):
         srng = np.random.default_rng(3)
         mod = A.SingleDictContext(num_slices=1, ctx_channels=6, dict_dim=8,
-                                  n_entries=10, heads=2, rng=srng)
+                                  n_global=4, n_detail=6, heads=2, rng=srng)
+        assert mod.dictionary.entries.shape == (10, 8)
         x = Tensor(rng.standard_normal((1, 6, 2, 2)))
         with no_grad():
             out = mod.forward_slice(0, x, keep_attention=True)

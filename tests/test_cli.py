@@ -1,10 +1,14 @@
 """CLI surface: exit codes, round trips, csv plumbing."""
 
+import contextlib
+import io
 import os
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hide import ppm
 from hide.cli import main
@@ -163,6 +167,54 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert len(err.splitlines()) == 1 and f"{path} line 2" in err
+
+    @pytest.mark.parametrize("bpp", ["nan", "inf"])
+    def test_non_finite_bpp_is_an_error_line(self, tmp_path, capsys, bpp):
+        path = tmp_path / "rd.csv"
+        path.write_text("image,lambda,bpp,psnr\nimg0,0.01,0.2,30.0\n"
+                        f"img0,0.02,{bpp},32.0\nimg0,0.05,1.1,36.0\n")
+        assert main(["bdrate", str(path), str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: anchor curve has rates that are not positive and finite\n"
+
+
+@pytest.fixture(scope="module")
+def csv_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("rd")
+
+
+def _csv_field(valid):
+    """Mostly plausible values, else non-finite, any float or not a number."""
+    return st.one_of(valid.map(repr), valid.map(repr), valid.map(repr),
+                     st.sampled_from(["nan", "inf", "-inf", "1e999", "0", "-1", "", "x"]),
+                     st.floats().map(repr))
+
+
+_csv_rows = st.lists(st.tuples(
+    st.one_of(st.just("img"), st.text("ab,\"", max_size=2)),
+    _csv_field(st.sampled_from([0.0018, 0.0067, 0.025, 0.05])),
+    _csv_field(st.floats(0.05, 4.0)),
+    _csv_field(st.floats(20.0, 50.0))).map(",".join), min_size=2, max_size=6)
+
+
+class TestRdCsvFuzz:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(st.tuples(_csv_rows, _csv_rows))
+    def test_exit_zero_or_one_error_line(self, csv_dir, rows):
+        paths = []
+        for name, body in zip("ab", rows):
+            path = csv_dir / f"{name}.csv"
+            path.write_text("\n".join(["image,lambda,bpp,psnr"] + body) + "\n")
+            paths.append(str(path))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["bdrate"] + paths)
+        assert code in (0, 1)
+        if code == 1:
+            lines = err.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:")
+        else:
+            assert err.getvalue() == "" and len(out.getvalue().splitlines()) == 1
 
 
 class TestTrainEncodeDecode:

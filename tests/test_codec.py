@@ -45,11 +45,31 @@ def encoded(model, image):
     return codec.encode_image(model, image)
 
 
+@pytest.fixture(scope="module")
+def checkpoint_file(tmp_path_factory):
+    """A tiny float32 checkpoint: its path, its bytes, and the offsets of
+    every byte outside the float payloads (magic, version, record heads
+    and the config text)."""
+    path = tmp_path_factory.mktemp("ckpt") / "model.hide"
+    CompressionModel(tiny_config(dtype="float32")).save(str(path))
+    blob = path.read_bytes()
+    heads, pos = list(range(6)), 6
+    while pos < len(blob):
+        (name_len,) = struct.unpack_from("<H", blob, pos)
+        code, rank = struct.unpack_from("<BB", blob, pos + 2 + name_len)
+        shape = struct.unpack_from(f"<{rank}I", blob, pos + 4 + name_len)
+        head = 4 + name_len + 4 * rank
+        size = math.prod(shape) * (4, 8, 1)[code]
+        heads += range(pos, pos + head + (size if code == 2 else 0))
+        pos += head + size
+    return path, blob, heads
+
+
 class TestTransformShapes:
     def test_stride_arithmetic(self, model, image):
         out = model.encode_forward(image)
         assert out["y"].shape == (1, 8, 4, 4)
-        assert out["z"].shape == (1, 4, 1, 1)
+        assert out["z_symbols"].shape == (1, 4, 1, 1)
 
     def test_untrained_round_trip_finite(self, model, image):
         out = model.encode_forward(image)
@@ -81,7 +101,6 @@ class TestRoundTrip:
             assert np.array_equal(a.mu, b.mu)
             assert np.array_equal(a.sigma, b.sigma)
             assert np.array_equal(a.y_hat, b.y_hat)
-            assert np.array_equal(a.y_bar, b.y_bar)
         assert np.array_equal(enc.recon_padded, dec.recon_padded)
 
     def test_file_bits_within_coder_overhead(self, model, image):
@@ -260,9 +279,11 @@ class TestContainer:
         assert a[14:22] != b[14:22]
 
 
-def mutations(data: bytes):
-    """1-3 flipped bytes, a truncation, or one inserted byte."""
+def mutations(data: bytes, flip_at=None):
+    """1-3 flipped bytes (at offsets drawn from flip_at, if given), a
+    truncation, or one inserted byte."""
     n = len(data)
+    offsets = st.integers(0, n - 1) if flip_at is None else st.sampled_from(flip_at)
 
     def flip(changes):
         blob = bytearray(data)
@@ -271,7 +292,7 @@ def mutations(data: bytes):
         return bytes(blob)
 
     return st.one_of(
-        st.lists(st.tuples(st.integers(0, n - 1), st.integers(1, 255)),
+        st.lists(st.tuples(offsets, st.integers(1, 255)),
                  min_size=1, max_size=3, unique_by=lambda c: c[0]).map(flip),
         st.integers(0, n - 1).map(lambda k: data[:k]),
         st.tuples(st.integers(0, n), st.integers(0, 255)).map(
@@ -334,11 +355,36 @@ class TestCheckpoint:
             load_checkpoint(str(path))
         assert str(path) in str(info.value)
 
-    @pytest.mark.parametrize("shape", [(1,) * 69 + (0,), (65536,) * 4],
-                             ids=["rank70", "count_wraps_int64"])
+    @pytest.mark.parametrize("name", ["hyper_prior.mean", "__config__"])
+    def test_repeated_record_is_format_error(self, tmp_path, model, name):
+        # a later record must not silently replace an earlier one
+        from hide.core import checkpoint
+        path = tmp_path / "model.hide"
+        model.save(str(path))
+        arrays, config_text = checkpoint.load_checkpoint(str(path))
+        value = arrays.get(name, np.frombuffer(config_text.encode("utf-8"), dtype=np.uint8))
+        path.write_bytes(path.read_bytes() + checkpoint._pack_record(name, value))
+        with pytest.raises(FormatError, match=f"repeated record '{name}'"):
+            checkpoint.load_checkpoint(str(path))
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(st.data())
+    def test_corrupt_checkpoint_loads_or_raises_hide_error(self, checkpoint_file, data):
+        # truncated, grown, or flipped where a flip changes the structure
+        path, blob, heads = checkpoint_file
+        mutated = path.with_name("mutated.hide")
+        mutated.write_bytes(data.draw(mutations(blob, flip_at=heads)))
+        try:
+            load_model(str(mutated))
+        except HideError:
+            pass
+
+    @pytest.mark.parametrize("shape", [(1,) * 69 + (0,), (65536,) * 4, (0,) + (1 << 31,) * 3],
+                             ids=["rank70", "count_wraps_int64", "zero_beside_huge_dims"])
     def test_bad_record_shape_is_format_error(self, tmp_path, shape):
-        # a rank above numpy's 64, and four dims whose product is 2**64,
-        # which an int64 count wraps to 0
+        # a rank above numpy's 64, four dims whose product is 2**64, which
+        # an int64 count wraps to 0, and an empty record whose other dims
+        # overflow numpy's size, which reshape refuses with a ValueError
         from hide.core import checkpoint
         record = struct.pack(f"<H1sBB{len(shape)}I", 1, b"w", 0, len(shape), *shape)
         path = tmp_path / "bad.hide"

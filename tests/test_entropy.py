@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 import hide.entropy as ent
+from hide import coder
 import hide.model as model_module
-from hide.config import ModelConfig
+from hide.config import VARIANTS, ModelConfig
 from hide.constants import P_MIN, SIGMA_MAX
 from hide.core import Tensor, backward, no_grad
 from hide.core import tensor as T
-from hide.errors import ShapeError
+from hide.errors import HideError, ShapeError
 from hide.model import CompressionModel
 
 from conftest import check_gradients
@@ -138,6 +139,14 @@ class TestRdLoss:
         expect = bpp.numpy() + mse.numpy() * np.asarray(cfg.lam, dtype=mse.dtype)
         assert loss.numpy().tobytes() == expect.tobytes()
 
+    @pytest.mark.parametrize("mode", ["STE", "Noise", "round", ""])
+    def test_unknown_recon_mode_is_refused(self, rng, mode):
+        # a misspelling must not train on the noise relaxation
+        model = CompressionModel(tiny_config())
+        with pytest.raises(HideError, match="'ste' or 'noise'"):
+            model.train_loss(rng.uniform(0, 1, size=(1, 3, 64, 64)),
+                             np.random.default_rng(0), recon_mode=mode)
+
     def test_gradients_finite_and_nonzero_at_init(self, rng):
         model = CompressionModel(tiny_config())
         x = rng.uniform(0, 1, size=(1, 3, 64, 64))
@@ -154,11 +163,16 @@ class TestChannelPrior:
         sig = prior.sigma().numpy()
         assert (sig > 0.04).all() and (sig <= 64.0).all()
 
-    def test_offset_fraction_split(self):
+    def test_offsets_go_into_symbols_fractions_into_rows(self):
         prior = ent.ChannelPrior(3)
         prior.mean.data = np.array([1.75, -0.25, 0.0])
-        np.testing.assert_array_equal(prior.integer_offsets(), [1, -1, 0])
-        np.testing.assert_allclose(prior.frac_means(), [0.75, 0.75, 0.0], atol=1e-15)
+        symbols, z_hat = prior.quantize(Tensor(np.array([2.2, -1.4, 0.6]).reshape(1, 3, 1, 1)))
+        np.testing.assert_array_equal(symbols.reshape(-1), [1, 0, 1])
+        np.testing.assert_array_equal(z_hat.numpy().reshape(-1), [2.0, -1.0, 1.0])
+        np.testing.assert_array_equal(prior.dequantize(symbols, np.float64).numpy(),
+                                      z_hat.numpy())
+        expect = coder.build_cdf_batch(np.array([0.75, 0.75, 0.0]), prior.sigma().numpy())
+        np.testing.assert_array_equal(prior.cdf_rows(), expect)
 
 
 class TestSliceModel:
@@ -208,8 +222,17 @@ class TestSliceModel:
         model = self.make_model()
         x = rng.uniform(0, 1, size=(1, 3, 64, 64))
         out = model.encode_forward(x)
-        for rec in out["bundle"].slices:
-            assert np.max(np.abs(rec.y_bar - rec.y_hat)) <= 0.5
+        bundle = out["bundle"]
+        y_hat = np.concatenate([rec.y_hat for rec in bundle.slices], axis=1)
+        assert np.max(np.abs(bundle.y_bar.numpy() - y_hat)) <= 0.5
+
+    def test_variant_table_says_what_each_variant_builds(self):
+        assert tuple(ent.VARIANT_MODULES) == VARIANTS
+        for variant, (context, estimator, residual) in ent.VARIANT_MODULES.items():
+            entropy = self.make_model(variant=variant).entropy
+            assert type(entropy.dict_ctx) is context
+            assert all(type(e) is estimator for e in entropy.estimators)
+            assert all(type(r) is residual for r in entropy.residuals)
 
     def test_channel_split(self):
         assert ent.channel_split(32, 4) == [8, 8, 8, 8]

@@ -93,6 +93,23 @@ class TestBdRate:
         with pytest.raises(MetricsError, match="anchor spans"):
             bd_rate([0.1, 0.2], [30.0, 31.0], [0.1, 0.2], [35.0, 36.0])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("side", ["anchor", "test"])
+    def test_non_finite_rate_refused(self, bad, side):
+        # scipy's interpolator would raise a bare ValueError on these
+        r, q = self.curve()
+        bad_r = r.copy()
+        bad_r[2] = bad
+        args = (bad_r, q, r, q) if side == "anchor" else (r, q, bad_r, q)
+        with pytest.raises(MetricsError, match=f"{side} curve has rates that are not positive and finite"):
+            bd_rate(*args)
+
+    def test_overflowing_delta_rate_refused(self):
+        # finite rates 600 decades apart: 10 ** 600 is no float
+        q = [30.0, 31.0]
+        with pytest.raises(MetricsError, match="delta-rate out of range"):
+            bd_rate([1e-300, 2e-300], q, [1e300, 2e300], q)
+
     def test_too_few_points(self):
         with pytest.raises(MetricsError):
             bd_rate([0.1], [30.0], [0.1, 0.2], [30.0, 31.0])
@@ -118,6 +135,12 @@ class TestRdCsv:
         assert rates.tolist() == [0.2, 0.5, 1.1]
         got = bd_rate_records(anchor, test)
         assert abs(got - (-10.0)) < 1e-9
+
+    def test_opposite_infinities_average_to_nan_without_a_warning(self):
+        # bd_rate refuses the nan; the warning would be a second stderr line
+        records = [RDRecord("a", 0.01, math.inf, 30.0), RDRecord("b", 0.01, -math.inf, 30.0)]
+        rates, _ = aggregate_by_lambda(records)
+        assert math.isnan(rates[0])
 
     def test_header_enforced(self, tmp_path):
         path = str(tmp_path / "bad.csv")
