@@ -80,14 +80,14 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], str]:
             shape = struct.unpack_from(f"<{rank}I", blob, pos) if rank else ()
             pos += 4 * rank
             dtype = _CODE_DTYPES[code]
-            nbytes = math.prod(shape) * dtype.itemsize
-            payload = blob[pos:pos + nbytes]
-            if len(payload) != nbytes:
+            count = math.prod(shape)
+            if pos + count * dtype.itemsize > len(blob):
                 raise FormatError(f"truncated checkpoint record {name!r}")
-            pos += nbytes
-            # a zero dim empties the payload however large the others; numpy
+            # read in place: astype makes the one copy the array keeps.  A
+            # zero dim empties the payload however large the others; numpy
             # refuses a shape whose other dims overflow its size (ValueError)
-            arr = np.frombuffer(payload, dtype=dtype.newbyteorder("<")).astype(dtype).reshape(shape)
+            arr = np.frombuffer(blob, dtype.newbyteorder("<"), count, pos).astype(dtype).reshape(shape)
+            pos += count * dtype.itemsize
         except (struct.error, KeyError, UnicodeDecodeError, ValueError) as e:
             raise FormatError(f"corrupt checkpoint {path}: {e}") from e
         if name in arrays:

@@ -4,7 +4,8 @@ Values live in numpy arrays.  Every differentiable operation, here and
 in ``ops``, returns ``node(data, inputs, backward)``: that is the only
 way a result joins the single global tape, and ``recording(*inputs)``
 is the only test of whether it will.  ``backward`` walks the tape in
-reverse execution order exactly once and then clears it.  All
+reverse execution order exactly once, releasing each entry and its
+output's gradient as it runs, so only leaves keep ``.grad``.  All
 reductions use numpy's fixed sequential order, so identical inputs give
 bit-identical outputs across runs.
 
@@ -411,10 +412,14 @@ def minimum(a: Tensor, ceil: float) -> Tensor:
 
 
 def backward(loss: Tensor) -> None:
-    """Populate gradients of everything reachable from ``loss``.
+    """Populate gradients of the leaves reachable from ``loss``.
 
-    The tape is consumed: a second call without a fresh forward pass
-    raises.  Traversal is strict reverse execution order.
+    The tape is consumed in strict reverse execution order: each entry
+    is popped and its output's gradient taken off the node before the
+    closure runs, so the closure, the arrays it holds and that gradient
+    are freed as soon as they have been used.  Afterwards only leaves
+    (tensors no op produced) keep ``.grad``, and a second call without
+    a fresh forward pass raises.
     """
     if loss.data.size != 1:
         raise ShapeError(f"backward expects a scalar loss, got shape {loss.shape}")
@@ -422,8 +427,10 @@ def backward(loss: Tensor) -> None:
         raise HideError("backward called with an empty tape (already consumed or nothing recorded)")
     loss._accumulate(np.ones_like(loss.data))
     try:
-        for out, fn in reversed(_tape):
-            if out.grad is not None:
-                fn(out.grad)
+        while _tape:
+            out, fn = _tape.pop()
+            g, out.grad = out.grad, None
+            if g is not None:
+                fn(g)
     finally:
         _tape.clear()

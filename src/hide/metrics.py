@@ -67,10 +67,15 @@ def read_rd_csv(path: str) -> List[RDRecord]:
                 raise MetricsError(f"{path} line {reader.line_num}: expected "
                                    f"{len(CSV_HEADER)} fields, got {len(row)}")
             try:
-                out.append(RDRecord(row[0], float(row[1]), float(row[2]), float(row[3])))
+                record = RDRecord(row[0], float(row[1]), float(row[2]), float(row[3]))
             except ValueError:
                 raise MetricsError(f"{path} line {reader.line_num}: lambda, bpp and psnr "
                                    f"must be numbers, got {row[1:]}") from None
+            # lambda keys the RD points, and nan != nan would split them
+            if not math.isfinite(record.lam):
+                raise MetricsError(f"{path} line {reader.line_num}: lambda must be finite, "
+                                   f"got {row[1]!r}")
+            out.append(record)
     return out
 
 

@@ -177,6 +177,16 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert err == "error: anchor curve has rates that are not positive and finite\n"
 
+    def test_non_finite_lambda_is_an_error_line(self, tmp_path, capsys):
+        rows = "img0,{},0.2,30.0\nimg0,{},0.5,33.0\nimg0,{},1.1,36.0\n"
+        ok, nanlam = tmp_path / "ok.csv", tmp_path / "nanlam.csv"
+        ok.write_text("image,lambda,bpp,psnr\n" + rows.format(0.0018, 0.0067, 0.05))
+        nanlam.write_text("image,lambda,bpp,psnr\n" + rows.format("nan", "nan", "nan"))
+        assert main(["bdrate", str(ok), str(nanlam)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {nanlam} line 2: lambda must be finite, got 'nan'\n"
+
 
 @pytest.fixture(scope="module")
 def csv_dir(tmp_path_factory):

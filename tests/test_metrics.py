@@ -149,6 +149,15 @@ class TestRdCsv:
         with pytest.raises(MetricsError):
             read_rd_csv(path)
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-inf"])
+    def test_non_finite_lambda_names_path_and_line(self, tmp_path, lam):
+        # each nan would be an RD point of its own, since nan != nan
+        path = str(tmp_path / "nanlam.csv")
+        with open(path, "w") as fh:
+            fh.write(f"image,lambda,bpp,psnr\nimg0,0.01,0.4,32.0\nimg0,{lam},0.5,33.0\n")
+        with pytest.raises(MetricsError, match=f"{path} line 3: lambda must be finite"):
+            read_rd_csv(path)
+
     @pytest.mark.parametrize("row", ["img1,abc,0.5,33.0", "img1,0.01,,33.0",
                                      "img1,0.01,0.5,x", "img1,0.01,0.5", "img1"])
     def test_bad_row_names_path_and_line(self, tmp_path, row):

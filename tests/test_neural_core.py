@@ -1,7 +1,9 @@
 """Tensor engine: forward values against loop oracles, gradients against
 central finite differences, and the tape/optimizer contracts."""
 
+import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +18,10 @@ from hide.errors import HideError, NonFiniteError, ShapeError
 from hide.model import CompressionModel
 
 from conftest import check_gradients
+
+# sha256 of the tiny model's parameter gradients after one float64 step;
+# pins the summation order of the backward walk
+LEAF_GRADIENT_DIGEST = "e8899612e7a4ac5ee661a64c2f59ffce6a04e30a7501c0e4af03263413be8726"
 
 
 # -----------------------------------------------------------------
@@ -486,6 +492,66 @@ class TestBackward:
         a = rng.standard_normal((4, 3))
         b = rng.standard_normal(3)
         check_gradients(lambda ts: ((ts[0] + ts[1]) * (ts[0] - ts[1])).sum(), [a, b])
+
+    def test_only_leaves_keep_gradients(self, monkeypatch):
+        # the walk releases every node's gradient; the leaf gradients are
+        # the bytes the walk gave before it released anything
+        recorded = []
+        real_node = tensor.node
+
+        def recording_node(data, inputs, backward_fn):
+            out = real_node(data, inputs, backward_fn)
+            if out.requires_grad:
+                recorded.append(out)
+            return out
+
+        monkeypatch.setattr(tensor, "node", recording_node)
+        model = _tiny_model()
+        x = np.random.default_rng(1).uniform(0, 1, (2, 3, 64, 64))
+        loss, _, _ = model.train_loss(x, np.random.default_rng(2))
+        backward(loss)
+        assert recorded and all(out.grad is None for out in recorded)
+        digest = hashlib.sha256()
+        for name, p in model.named_parameters():
+            digest.update(name.encode() + (b"-" if p.grad is None else p.grad.tobytes()))
+        assert digest.hexdigest() == LEAF_GRADIENT_DIGEST
+
+    def test_peak_stays_near_the_forward_tape(self):
+        # 20 recorded ops over a 1 MB array: each node and its gradient go
+        # as soon as the walk has passed them, so backward adds a few
+        # arrays to the live forward, not one gradient per node
+        x = Tensor(np.random.default_rng(0).standard_normal(1 << 17), requires_grad=True)
+        tracemalloc.start()
+        try:
+            h = x
+            for _ in range(20):
+                h = tensor.tanh(h)
+            loss = h.sum()
+            forward_bytes, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            backward(loss)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert x.grad is not None and h.grad is None
+        assert peak < forward_bytes + 6 * x.data.nbytes
+
+    def test_raising_closure_leaves_an_empty_tape(self):
+        w = Tensor(np.ones(3), requires_grad=True)
+
+        def fail(g):
+            raise RuntimeError("closure failed")
+
+        outs = [tensor.node(w.data * 2.0, (w,), fail)]
+        for _ in range(3):
+            outs.append(tensor.tanh(outs[-1]))
+        loss = outs[-1].sum()
+        with pytest.raises(RuntimeError, match="closure failed"):
+            backward(loss)
+        assert C.tape_size() == 0
+        assert w.grad is None and all(o.grad is None for o in outs + [loss])
+        backward((w * w).sum())
+        assert np.array_equal(w.grad, [2.0, 2.0, 2.0])
 
 
 def _tiny_model():
