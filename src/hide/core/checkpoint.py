@@ -81,13 +81,14 @@ def load_checkpoint(path: str) -> Tuple[Dict[str, np.ndarray], str]:
             pos += 4 * rank
             dtype = _CODE_DTYPES[code]
             count = math.prod(shape)
-            if pos + count * dtype.itemsize > len(blob):
+            end = pos + count * dtype.itemsize
+            if end > len(blob):
                 raise FormatError(f"truncated checkpoint record {name!r}")
             # read in place: astype makes the one copy the array keeps.  A
             # zero dim empties the payload however large the others; numpy
             # refuses a shape whose other dims overflow its size (ValueError)
             arr = np.frombuffer(blob, dtype.newbyteorder("<"), count, pos).astype(dtype).reshape(shape)
-            pos += count * dtype.itemsize
+            pos = end
         except (struct.error, KeyError, UnicodeDecodeError, ValueError) as e:
             raise FormatError(f"corrupt checkpoint {path}: {e}") from e
         if name in arrays:
