@@ -22,8 +22,6 @@ import numpy as np
 
 from . import ppm
 from .codec import codec_input
-from .core.tensor import Tensor
-from .entropy import likelihood
 from .errors import HideError
 from .model import CompressionModel
 
@@ -147,8 +145,7 @@ def entropy_map(records: list) -> EntropyMap:
     for rec in records:
         centered = rec.y_hat - rec.mu
         z = centered / rec.sigma
-        p = likelihood(*(Tensor(a, dtype=a.dtype) for a in (rec.y_hat, rec.mu, rec.sigma)))
-        bits = -np.log2(p.numpy().astype(np.float64))
+        bits = -np.log2(rec.likelihood.astype(np.float64))
         total += float(bits.sum())
         spatial = bits.sum(axis=(0, 1))
         bits_map = spatial if bits_map is None else bits_map + spatial

@@ -2,14 +2,15 @@
 
 Two learnable dictionaries act as external priors shared by the encoder
 and decoder paths.  Retrieval is per spatial position: the slice context
-map is flattened to tokens, each token queries the dictionary entries
-through multi-head attention with a learnable temperature, and the
-retrieved contexts are fused back into the context map through a
-residual bottleneck.
+map is flattened to tokens once, and every stage works on those tokens.
+Each token queries the dictionary entries through multi-head attention
+with a learnable temperature, and `fuse` adds the retrieved context back
+to the tokens through a residual bottleneck and restores the map shape.
 
 The hierarchical module retrieves twice (coarse structure first, then
-detail conditioned on the enhanced query); the single-stage module is
-the flat ablation baseline.
+detail conditioned on the enhanced query) and fuses both contexts side
+by side; the single-stage module is the flat ablation baseline and
+fuses its one context the same way.
 """
 
 from __future__ import annotations
@@ -112,18 +113,17 @@ class SliceRetrievalWeights(nn.Module):
         self.log_temp_detail = nn.Parameter(init_log_temp)
 
 
-def global_retrieve(x: Tensor, dictionary: PriorDictionary,
+def global_retrieve(tokens: Tensor, dictionary: PriorDictionary,
                     weights: SliceRetrievalWeights):
-    """First stage: query the structural dictionary from the raw context."""
-    tokens = to_tokens(x)
+    """First stage: query the structural dictionary from the context tokens."""
     queries = weights.global_query(tokens)
     return dictionary_attend(queries, dictionary, weights.global_key.weight,
                              weights.log_temp_global, weights.heads)
 
 
-def enhance_query(x: Tensor, global_ctx: Tensor, weights: SliceRetrievalWeights) -> Tensor:
-    """Fuse the original context with the retrieved structure (project + norm)."""
-    tokens = to_tokens(x)
+def enhance_query(tokens: Tensor, global_ctx: Tensor,
+                  weights: SliceRetrievalWeights) -> Tensor:
+    """Fuse the context tokens with the retrieved structure (project + norm)."""
     joined = T.concat([tokens, global_ctx], axis=-1)
     return weights.enhance_norm(weights.enhance_proj(joined))
 
@@ -136,29 +136,28 @@ def detail_retrieve(enhanced: Tensor, dictionary: PriorDictionary,
                              weights.log_temp_detail, weights.heads)
 
 
-def fuse(x: Tensor, global_ctx: Tensor, detail_ctx: Tensor,
-         weights: SliceRetrievalWeights) -> Tensor:
-    """Residual fusion: gelu(concat contexts @ W1) @ W2 + x."""
-    joined = T.concat([global_ctx, detail_ctx], axis=-1)
-    branch = weights.fuse_out(ops.gelu(weights.fuse_in(joined)))
-    tokens = to_tokens(x)
+def fuse(tokens: Tensor, ctx: Tensor, weights: nn.Module, shape) -> Tensor:
+    """Residual fusion, gelu(ctx @ W1) @ W2 + tokens, back in the map
+    ``shape`` the tokens came from; ``weights`` has fuse_in and fuse_out."""
+    branch = weights.fuse_out(ops.gelu(weights.fuse_in(ctx)))
     if branch.shape != tokens.shape:
         raise ShapeError(f"fusion output {branch.shape} does not match context {tokens.shape}")
-    return from_tokens(T.add(branch, tokens), x.shape)
+    return from_tokens(T.add(branch, tokens), shape)
 
 
 def hierarchical_forward(x: Tensor, dict_global: PriorDictionary,
                          dict_detail: PriorDictionary, weights: SliceRetrievalWeights,
                          keep_attention: bool = False) -> RetrievedContext:
     """Full two-stage pipeline: retrieve, enhance, retrieve, fuse."""
-    global_ctx, attn_g = global_retrieve(x, dict_global, weights)
-    enhanced = enhance_query(x, global_ctx, weights)
+    tokens = to_tokens(x)
+    global_ctx, attn_g = global_retrieve(tokens, dict_global, weights)
+    enhanced = enhance_query(tokens, global_ctx, weights)
     detail_ctx, attn_d = detail_retrieve(enhanced, dict_detail, weights)
-    fused = fuse(x, global_ctx, detail_ctx, weights)
+    fused = fuse(tokens, T.concat([global_ctx, detail_ctx], axis=-1), weights, x.shape)
     return RetrievedContext(
         fused=fused,
-        attn_global=attn_g.numpy().copy() if keep_attention else None,
-        attn_detail=attn_d.numpy().copy() if keep_attention else None,
+        attn_global=attn_g.numpy() if keep_attention else None,
+        attn_detail=attn_d.numpy() if keep_attention else None,
     )
 
 
@@ -209,9 +208,7 @@ class SingleDictContext(nn.Module):
         tokens = to_tokens(x)
         ctx, attn = dictionary_attend(w.query(tokens), self.dictionary,
                                       w.key.weight, w.log_temp, w.heads)
-        branch = w.fuse_out(ops.gelu(w.fuse_in(ctx)))
-        fused = from_tokens(T.add(branch, tokens), x.shape)
         return RetrievedContext(
-            fused=fused,
-            attn_global=attn.numpy().copy() if keep_attention else None,
+            fused=fuse(tokens, ctx, w, x.shape),
+            attn_global=attn.numpy() if keep_attention else None,
             attn_detail=None)

@@ -55,20 +55,18 @@ class SynthesisTransform(nn.Module):
         super().__init__()
         chans = (latent_channels,) + WIDTHS[::-1] + (3,)
         ups, blocks = [], []
-        for idx, (c_in, c_out) in enumerate(zip(chans[:-1], chans[1:])):
+        for c_in, c_out in zip(chans[:-2], chans[1:-1]):
             ups.append(nn.ConvTranspose2d(c_in, c_out, 3, rng, stride=2, padding=1))
-            blocks.append(ResidualBlock(c_out, rng) if idx < len(chans) - 2 else None)
+            blocks.append(ResidualBlock(c_out, rng))
+        ups.append(nn.ConvTranspose2d(chans[-2], chans[-1], 3, rng, stride=2, padding=1))
         self.ups = nn.ModuleList(ups)
-        self.blocks = nn.ModuleList(b for b in blocks if b is not None)
+        self.blocks = nn.ModuleList(blocks)
 
     def __call__(self, y_bar: Tensor) -> Tensor:
         x = y_bar
-        n = len(self.ups)
-        for idx, up in enumerate(self.ups):
-            x = up(x)
-            if idx < n - 1:
-                x = self.blocks[idx](ops.gelu(x))
-        return x
+        for up, block in zip(self.ups, self.blocks):
+            x = block(ops.gelu(up(x)))
+        return self.ups[-1](x)
 
 
 class HyperAnalysis(nn.Module):

@@ -226,10 +226,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 2
     try:
         return _COMMANDS[args.command](args)
-    except HideError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
-    except OSError as e:
+    except (HideError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -145,6 +145,7 @@ class SliceRecord:
     scale_index: np.ndarray     # coder.SCALE_CDFS row of each symbol
     symbols: np.ndarray
     y_hat: np.ndarray
+    likelihood: np.ndarray      # bin mass of each y_hat, the rate's one source
     bits: float
     attn_global: Optional[np.ndarray] = None
     attn_detail: Optional[np.ndarray] = None
@@ -245,8 +246,8 @@ class SliceEntropyModel(nn.Module):
             p = likelihood(y_hat, mu, sigma)
             bits = float(rate_bits(p).numpy())
             bundle.slices.append(SliceRecord(
-                mu=mu.numpy().copy(), sigma=sigma.numpy().copy(), scale_index=index,
-                symbols=m, y_hat=y_hat.numpy().copy(), bits=bits,
+                mu=mu.numpy(), sigma=sigma.numpy(), scale_index=index, symbols=m,
+                y_hat=y_hat.numpy(), likelihood=p.numpy(), bits=bits,
                 attn_global=retrieved.attn_global, attn_detail=retrieved.attn_detail))
             bundle.total_bits += bits
             decoded.append(y_bar)

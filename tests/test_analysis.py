@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 import hide.analysis as an
-from hide import codec, ppm
-from hide.core import tape_size
+from hide import codec, entropy, ppm
+from hide.core import ops, tape_size
 from hide.config import ModelConfig
 from hide.errors import HideError, ShapeError
 from hide.model import CompressionModel
@@ -95,6 +95,18 @@ class TestEntropyMap:
             np.asarray(images[0])).get("bundle").slices)
         assert abs(emap.bits_map.sum() - emap.total_bits) <= 1e-6 * emap.total_bits
         assert abs(emap.total_bits - enc_estimate) <= 1e-6 * enc_estimate
+
+    def test_reads_the_codec_likelihood(self, model, images, monkeypatch):
+        # the codec pass owns each slice's bin masses; the map only reads them
+        records = an.slice_records(model, images[0])
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("entropy_map recomputed a likelihood")
+
+        monkeypatch.setattr(entropy, "likelihood", refuse)
+        monkeypatch.setattr(ops, "gaussian_cdf", refuse)
+        emap = an.entropy_map(records)
+        assert emap.total_bits == pytest.approx(sum(rec.bits for rec in records), rel=1e-9)
 
     def test_sigma_maps_respect_floor(self, model, images):
         emap = an.entropy_map(an.slice_records(model, images[0]))

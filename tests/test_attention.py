@@ -3,7 +3,7 @@
 import numpy as np
 
 import hide.attention as A
-from hide.core import Tensor, backward, no_grad
+from hide.core import Tensor, backward, clear_tape, concat, no_grad, tape_size
 
 from conftest import check_gradients
 
@@ -37,7 +37,7 @@ class TestGlobalRetrieve:
         d = A.PriorDictionary(1, 8, wrng)
         x = Tensor(rng.standard_normal((1, 6, 2, 2)))
         with no_grad():
-            ctx, attn = A.global_retrieve(x, d, w)
+            ctx, attn = A.global_retrieve(A.to_tokens(x), d, w)
         # softmax over one key is exactly 1: every token gets the entry
         np.testing.assert_allclose(ctx.numpy(), np.tile(d.entries.numpy(), (4, 1)), atol=1e-12)
         np.testing.assert_allclose(attn.numpy(), 1.0, atol=0)
@@ -48,7 +48,7 @@ class TestGlobalRetrieve:
         w.global_query.weight.data[:] = 0.0
         x = Tensor(rng.standard_normal((1, 6, 2, 2)))
         with no_grad():
-            ctx, attn = A.global_retrieve(x, d, w)
+            ctx, attn = A.global_retrieve(A.to_tokens(x), d, w)
         np.testing.assert_allclose(attn.numpy(), 1.0 / 8, atol=1e-12)
         np.testing.assert_allclose(ctx.numpy(), np.tile(d.entries.numpy().mean(0), (4, 1)),
                                    atol=1e-12)
@@ -58,7 +58,7 @@ class TestGlobalRetrieve:
         d = A.PriorDictionary(8, 8, wrng)
         x = Tensor(rng.standard_normal((1, 6, 2, 2)))    # 4 tokens
         with no_grad():
-            ctx, _ = A.global_retrieve(x, d, w)
+            ctx, _ = A.global_retrieve(A.to_tokens(x), d, w)
             q = A.to_tokens(x).numpy() @ w.global_query.weight.numpy()
         k = d.entries.numpy() @ w.global_key.weight.numpy()
         temp = np.exp(w.log_temp_global.numpy())
@@ -70,7 +70,7 @@ class TestGlobalRetrieve:
         d = A.PriorDictionary(16, 8, wrng)
         x = Tensor(rng.standard_normal((2, 6, 3, 3)) * 5)
         with no_grad():
-            _, attn = A.global_retrieve(x, d, w)
+            _, attn = A.global_retrieve(A.to_tokens(x), d, w)
         np.testing.assert_allclose(attn.numpy().sum(-1), 1.0, atol=1e-6)
 
 
@@ -84,7 +84,7 @@ class TestEnhanceQuery:
         x = Tensor(rng.standard_normal((1, 8, 2, 2)))
         zeros = Tensor(np.zeros((4, 8)))
         with no_grad():
-            out = A.enhance_query(x, zeros, w)
+            out = A.enhance_query(A.to_tokens(x), zeros, w)
             tokens = A.to_tokens(x)
             from hide.core import layernorm
             expect = layernorm(tokens, w.enhance_norm.gain, w.enhance_norm.shift)
@@ -101,7 +101,7 @@ class TestEnhanceQuery:
         x = Tensor(np.full((1, 8, 2, 2), 2.0))
         ctx = Tensor(np.full((4, 8), -1.0))
         with no_grad():
-            out = A.enhance_query(x, ctx, w)
+            out = A.enhance_query(A.to_tokens(x), ctx, w)
         np.testing.assert_allclose(out.numpy(), 0.0, atol=1e-9)
 
     def test_against_composed_oracle(self, rng):
@@ -109,7 +109,7 @@ class TestEnhanceQuery:
         x = Tensor(rng.standard_normal((1, 6, 2, 2)))
         ctx = Tensor(rng.standard_normal((4, 8)))
         with no_grad():
-            out = A.enhance_query(x, ctx, w)
+            out = A.enhance_query(A.to_tokens(x), ctx, w)
             from hide.core import layernorm, linear
             joined = np.concatenate([A.to_tokens(x).numpy(), ctx.numpy()], axis=-1)
             expect = layernorm(linear(Tensor(joined), w.enhance_proj.weight),
@@ -160,7 +160,7 @@ class TestFuse:
         cg = Tensor(rng.standard_normal((4, 8)))
         cd = Tensor(rng.standard_normal((4, 8)))
         with no_grad():
-            out = A.fuse(x, cg, cd, w)
+            out = A.fuse(A.to_tokens(x), concat([cg, cd], axis=-1), w, x.shape)
         assert np.array_equal(out.numpy(), x.numpy())
 
     def test_zero_contexts_bias_free_identity(self, rng):
@@ -168,7 +168,7 @@ class TestFuse:
         x = Tensor(rng.standard_normal((1, 6, 2, 2)))
         z = Tensor(np.zeros((4, 8)))
         with no_grad():
-            out = A.fuse(x, z, z, w)
+            out = A.fuse(A.to_tokens(x), concat([z, z], axis=-1), w, x.shape)
         # gelu(0) @ W2 contributes exactly zero
         assert np.array_equal(out.numpy(), x.numpy())
 
@@ -178,7 +178,7 @@ class TestFuse:
         cg = Tensor(rng.standard_normal((4, 8)))
         cd = Tensor(rng.standard_normal((4, 8)))
         with no_grad():
-            out = A.fuse(x, cg, cd, w)
+            out = A.fuse(A.to_tokens(x), concat([cg, cd], axis=-1), w, x.shape)
             from hide.core import gelu, linear
             joined = Tensor(np.concatenate([cg.numpy(), cd.numpy()], axis=-1))
             branch = linear(gelu(linear(joined, w.fuse_in.weight)), w.fuse_out.weight)
@@ -200,6 +200,18 @@ class TestHierarchicalForward:
         with no_grad():
             out = mod.forward_slice(0, x)
         assert np.array_equal(out.fused.numpy(), x.numpy())
+
+    def test_tokenizes_the_context_once(self, rng):
+        # one to_tokens (a transpose and a reshape) feeds all three stages;
+        # a tokenization per stage would record 4 nodes more
+        mod = self.make_module()
+        x = Tensor(rng.standard_normal((1, 6, 2, 2)), requires_grad=True)
+        clear_tape()
+        try:
+            mod.forward_slice(0, x)
+            assert tape_size() == 64
+        finally:
+            clear_tape()
 
     def test_attention_rows_sum(self, rng):
         mod = self.make_module()

@@ -11,8 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hide import codec, coder, ppm
+from hide import codec, coder, entropy, ppm
 from hide.config import ModelConfig, parse_config_text
+from hide.core import Tensor
 from hide.errors import ConfigError, DecodeError, FormatError, HideError, ShapeError
 from hide.model import CompressionModel, load_model
 
@@ -102,6 +103,17 @@ class TestRoundTrip:
             assert np.array_equal(a.sigma, b.sigma)
             assert np.array_equal(a.y_hat, b.y_hat)
         assert np.array_equal(enc.recon_padded, dec.recon_padded)
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_records_keep_the_likelihood_they_coded_under(self, image, dtype):
+        model = CompressionModel(tiny_config(dtype=dtype))
+        enc = codec.encode_image(model, image)
+        dec = codec.decode_image(model, enc.data)
+        for rec in enc.slice_records + dec.slice_records:
+            p = entropy.likelihood(*(Tensor(a, dtype=a.dtype)
+                                     for a in (rec.y_hat, rec.mu, rec.sigma))).numpy()
+            assert rec.likelihood.dtype == p.dtype == np.dtype(dtype)
+            assert rec.likelihood.tobytes() == p.tobytes()
 
     def test_file_bits_within_coder_overhead(self, model, image):
         enc = codec.encode_image(model, image)
